@@ -61,7 +61,6 @@ from .eisenstein import (
 )
 from .horospherical import (
     IndFunction,
-    SphericalData,
     TateFactorization,
     hecke_L_partial,
     horospherical_map,

@@ -52,7 +52,14 @@ class ResidueRing:
             raise ClassGroupError("element not integral")
         return (int(x.a) % self.N, int(x.b) % self.N)
 
+    def add(self, u, v):
+        return ((u[0] + v[0]) % self.N, (u[1] + v[1]) % self.N)
+
+    def sub(self, u, v):
+        return ((u[0] - v[0]) % self.N, (u[1] - v[1]) % self.N)
+
     def mul(self, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+        """Product in O/N; the coordinates may be numpy arrays (broadcast)."""
         N = self.N
         a, b = u
         c, d = v
@@ -425,10 +432,6 @@ class RayClassGroup:
         one = self.ring.one
         plus = tuple([1] * self.sign_count)
         return self.coords_of_triple(ideal, one, plus)
-
-    def identity_triple(self):
-        return (FractionalIdeal.unit_ideal(self.field), self.ring.one,
-                tuple([1] * self.sign_count))
 
     def serialize(self) -> dict:
         return {

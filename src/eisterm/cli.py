@@ -15,6 +15,8 @@ import sys
 import time
 from fractions import Fraction
 
+from sympy import factorint
+
 from .cache import ARTIFACT_VERSION, CacheError, cache_get_or_compute
 from .field import (
     DegenerateFieldError,
@@ -257,24 +259,11 @@ def _certify_payload(args):
     field = f.field
     run1 = constant_term(f, args.m, B=args.bound, precision=args.prec)
     run2 = constant_term(f, args.m, B=2 * args.bound, precision=args.prec)
-    primes = sorted({p for p in _prime_list(f.C * field.discriminant)})
+    primes = sorted(factorint(f.C * field.discriminant))
     out = certify_rational(run1, run2, primes, args.max_exp)
     payload = out.serialize()
     payload["denominator_primes"] = primes
     return payload, out.ok
-
-
-def _prime_list(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def _horospherical_payload(args) -> dict:

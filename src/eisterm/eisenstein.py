@@ -10,8 +10,8 @@ The constant term of weight k = m+2 at the identity cusp is
 computed through per-residue-class norm-power sums Z[lam] so that a single
 lattice enumeration serves every table at the level (and every group
 translate downstream).  Rank-1 class sums are Hurwitz zeta values at working
-precision; rank-2 sums are compensated float enumerations over the unit slab
-with an exact-geometry mean-tail correction.
+precision; rank-2 sums are plain float64 sums (np.add.at) over the unit slab
+enumeration, with an exact-geometry mean-tail correction.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ class EisensteinError(ValueError):
 
 class PreconditionError(EisensteinError):
     pass
+
+
+# eisenstein_value refuses a box of more lattice points than this, before it
+# allocates: at xi = 2 it holds several complex arrays of that size
+MAX_BOX_POINTS = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -88,32 +93,24 @@ class UnitFundamentalDomain:
         raise EisensteinError("slab reduction did not terminate")
 
 
-def enumerate_orbit_reps(field: NumberField, N: int, B, lattice_scale: FieldElement | None = None):
-    """Orbit representatives l of (lattice \\ 0) / O^x(N)+ with |N(l)| <= B.
+def enumerate_orbit_reps(field: NumberField, N: int, B):
+    """Orbit representatives l of (O \\ 0) / O^x(N)+ with |N(l)| <= B.
 
-    lattice_scale s means the lattice s*O (s = 1: the ring of integers).
     Returns a list of FieldElements, deterministically ordered.
     """
     if B <= 0:
         raise EisensteinError("bound must be positive")
-    s = lattice_scale if lattice_scale is not None else field.one
     if field.degree == 1:
         out = []
         w = 1
-        sval = s.a
-        while abs(sval) * w <= B:
-            out.append(field.elt(sval * w))
-            out.append(field.elt(-sval * w))
+        while w <= B:
+            out.append(field.elt(w))
+            out.append(field.elt(-w))
             w += 1
         return out
     dom = UnitFundamentalDomain(field, N)
-    ns = abs(s.norm())
-    Bw = Fraction(B) / ns  # |N(w)| bound on the integer-coordinate lattice
-    aa, bb = _slab_coordinates(field, dom.eps, float(Bw))
-    out = []
-    for a, b in zip(aa.tolist(), bb.tolist()):
-        out.append(s * field.elt(a, b))
-    return out
+    aa, bb = _slab_coordinates(field, dom.eps, float(B))
+    return [field.elt(a, b) for a, b in zip(aa.tolist(), bb.tolist())]
 
 
 def _slab_coordinates(field: NumberField, eps: FieldElement, B: float):
@@ -322,16 +319,11 @@ class LatticeSumResult:
 
 
 def _line_values(fh: FractionalSchwartz) -> np.ndarray:
-    """Complex values of fhat on the highest-weight line: index lam -> (lam, 0)."""
-    C = fh.C
+    """Complex values of fhat on the highest-weight line: entry lam -> (lam, 0),
+    lam over O/C in ResidueRing order."""
     roots = np.exp(2j * np.pi * np.arange(fh.M) / fh.M)
-    if fh.xi == 1:
-        idx = np.arange(C) * C  # (lam, 0)
-        return (fh.coeffs[idx] @ roots) * float(fh.prefactor)
-    # lam = (a, b): index (((a*C+b)*C+0)*C+0)
-    a = np.repeat(np.arange(C), C)
-    b = np.tile(np.arange(C), C)
-    idx = ((a * C + b) * C + 0) * C + 0
+    lam = tuple(np.array(fh.grid.ring.elements()).T)
+    idx = fh.grid.index_of((lam, (0, 0)))
     return (fh.coeffs[idx] @ roots) * float(fh.prefactor)
 
 
@@ -341,11 +333,10 @@ def _unit_invariance_check(fh: FractionalSchwartz, N: int) -> None:
     if field.degree == 1:
         return
     eps, _ = unit_subgroup_generator(field, N)
-    C = fh.C
-    ea, eb = int(eps.a) % C, int(eps.b) % C
-    if (ea, eb) != (1 % C, 0):
+    ring = fh.grid.ring
+    if ring.reduce(eps) != ring.one:
         raise PreconditionError(
-            f"table modulus {C} is not invariant under the level-{N} unit group"
+            f"table modulus {fh.C} is not invariant under the level-{N} unit group"
         )
 
 
@@ -363,6 +354,8 @@ def constant_term(phi, m: int, torus: TorusData | None = None,
         raise PreconditionError("constant term requires a trace-zero function (S^0)")
     if m < 0:
         raise PreconditionError("m must be >= 0")
+    if not B > 0:
+        raise PreconditionError("the lattice bound B must be positive")
     field = f.field
     k = m + 2
     N = unit_level if unit_level is not None else f.C
@@ -377,7 +370,7 @@ def constant_term(phi, m: int, torus: TorusData | None = None,
         with mpmath.workprec(prec + 20):
             acc = mpmath.mpc(0)
             for lam in range(fh.C):
-                v = fh.value_at_index(lam * fh.C)  # (lam, 0)
+                v = fh.value_at(((lam, 0), (0, 0)))
                 if not v.terms:
                     continue
                 vc = mpmath.mpc(0)
@@ -547,6 +540,10 @@ def eisenstein_value(phi, chi, m: int, s: float, point, B: int = 40,
         raise PreconditionError("outside the absolute convergence range")
     if chi is not None and not chi.is_trivial():
         raise EisensteinError("nontrivial character components not implemented")
+    if (2 * B + 1) ** (2 * xi) > MAX_BOX_POINTS:
+        raise EisensteinError(
+            f"lattice box of (2B+1)^{2 * xi} = {(2 * B + 1) ** (2 * xi)} points exceeds "
+            f"{MAX_BOX_POINTS}")
     fh = fourier_transform(f)
     tau, r = point
     taus = tau if isinstance(tau, (tuple, list)) else (tau,) * xi
@@ -573,14 +570,11 @@ def eisenstein_value(phi, chi, m: int, s: float, point, B: int = 40,
         tail = abs(val) * 0 + float(np.abs(fv).max()) * (B ** (-(2 * k - 2)) + 1e-300)
         return LatticeSumResult(val, B, tail, count, precision)
     # xi = 2: direct small-box sum over 4 integer coordinates
-    C = fh.C
     w1e, w2e = field.omega.embed_float()
     rng = np.arange(-B, B + 1)
     A1, B1, A2, B2 = np.meshgrid(rng, rng, rng, rng, indexing="ij")
     mask = (A1 != 0) | (B1 != 0) | (A2 != 0) | (B2 != 0)
-    lam = (((np.mod(A1, C) * C + np.mod(B1, C)) * C + np.mod(A2, C)) * C + np.mod(B2, C))
-    tbl = fh.complex_table()
-    fv = tbl[lam]
+    fv = fh.complex_table()[fh.grid.index_of(((A1, B1), (A2, B2)))]
     total = np.ones_like(A1, dtype=np.complex128) * math.gamma(m + 2 + s) ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
         for (i, (we, spi)) in enumerate(((w1e, sp1), (w2e, sp2))):

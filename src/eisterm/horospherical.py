@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from sympy import factorint
 
 from .field import NumberField, construct_field, prime_ideals_up_to
 from .classfield import (
@@ -30,7 +31,13 @@ from .classfield import (
     ResidueRing,
     all_characters,
 )
-from .schwartz import FractionalSchwartz, TwistedSchwartz, fourier_transform, is_S0
+from .schwartz import (
+    TwistedSchwartz,
+    _IndexGrid,
+    _pairing_exponent_matrix,
+    fourier_transform,
+    is_S0,
+)
 from .eisenstein import PreconditionError, rank1_class_sums, rank2_class_sums
 
 
@@ -67,15 +74,17 @@ class MatrixGroup:
         ring = self.ring
         elems = ring.elements()
         gl, sl = [], []
+        self._completions = {}  # first column -> first gl2 element with it
         for a in elems:
             for b in elems:
                 for c in elems:
                     for d in elems:
-                        det = _rsub(ring, ring.mul(a, d), ring.mul(b, c))
+                        det = ring.sub(ring.mul(a, d), ring.mul(b, c))
                         if not ring.is_unit(det):
                             continue
                         mat = (a, b, c, d)
                         gl.append(mat)
+                        self._completions.setdefault((a, c), mat)
                         if det == ring.one:
                             sl.append(mat)
         self.gl2 = gl
@@ -84,27 +93,25 @@ class MatrixGroup:
     def det(self, mat):
         ring = self.ring
         a, b, c, d = mat
-        return _rsub(ring, ring.mul(a, d), ring.mul(b, c))
+        return ring.sub(ring.mul(a, d), ring.mul(b, c))
 
     def mul(self, m1, m2):
         ring = self.ring
         a, b, c, d = m1
         e, f, g, h = m2
         return (
-            _radd(ring, ring.mul(a, e), ring.mul(b, g)),
-            _radd(ring, ring.mul(a, f), ring.mul(b, h)),
-            _radd(ring, ring.mul(c, e), ring.mul(d, g)),
-            _radd(ring, ring.mul(c, f), ring.mul(d, h)),
+            ring.add(ring.mul(a, e), ring.mul(b, g)),
+            ring.add(ring.mul(a, f), ring.mul(b, h)),
+            ring.add(ring.mul(c, e), ring.mul(d, g)),
+            ring.add(ring.mul(c, f), ring.mul(d, h)),
         )
 
     def inv(self, mat):
         ring = self.ring
         a, b, c, d = mat
-        det = self.det(mat)
-        di = ring.inv(det)
-        neg = lambda u: ((-u[0]) % ring.N, (-u[1]) % ring.N)
-        return (ring.mul(di, d), ring.mul(di, neg(b)),
-                ring.mul(di, neg(c)), ring.mul(di, a))
+        di = ring.inv(self.det(mat))
+        return (ring.mul(di, d), ring.sub((0, 0), ring.mul(di, b)),
+                ring.sub((0, 0), ring.mul(di, c)), ring.mul(di, a))
 
     def hat_inverse_column(self, mat, ring=None):
         """ghat^-1 e1 = det(g)^-1 (first column of g): the direction moved
@@ -113,45 +120,19 @@ class MatrixGroup:
         canonical integral lift."""
         ring = ring or self.ring
         a, b, c, d = mat
-        det = _rsub(ring, ring.mul(a, d), ring.mul(b, c))
-        di = ring.inv(det)
+        di = ring.inv(ring.sub(ring.mul(a, d), ring.mul(b, c)))
         return (ring.mul(di, a), ring.mul(di, c))
 
     def primitive_vectors(self):
-        """Columns (v1, v2) extendable to GL2: one per G/P coset."""
-        ring = self.ring
-        elems = ring.elements()
-        out = []
-        for v1 in elems:
-            for v2 in elems:
-                w = self._complete((v1, v2))
-                if w is not None:
-                    out.append((v1, v2))
-        return out
-
-    def _complete(self, v):
-        ring = self.ring
-        v1, v2 = v
-        for w1 in ring.elements():
-            for w2 in ring.elements():
-                det = _rsub(ring, ring.mul(v1, w2), ring.mul(w1, v2))
-                if ring.is_unit(det):
-                    return (v1, w1, v2, w2)
-        return None
+        """Columns (v1, v2) extendable to GL2, sorted: one per G/P coset."""
+        return sorted(self._completions)
 
     def completion_matrix(self, v):
-        mat = self._complete(v)
+        """The first element of gl2 with first column v."""
+        mat = self._completions.get(v)
         if mat is None:
             raise HorosphericalError("vector is not primitive")
         return mat
-
-
-def _radd(ring, u, v):
-    return ((u[0] + v[0]) % ring.N, (u[1] + v[1]) % ring.N)
-
-
-def _rsub(ring, u, v):
-    return ((u[0] - v[0]) % ring.N, (u[1] - v[1]) % ring.N)
 
 
 @lru_cache(maxsize=None)
@@ -165,41 +146,17 @@ def _lift_matrix(mat, N: int, C: int):
     new primes (CRT coordinatewise on the omega-basis)."""
     if C == N:
         return mat
-    R = C
-    Np = 1
-    n = N
     # split C into the part sharing primes with N and the rest
-    for p in range(2, C + 1):
-        if C % p == 0 and N % p == 0:
-            while R % p == 0:
-                R //= p
-                Np *= p
+    Npart = math.prod(p ** e for p, e in factorint(C).items() if N % p == 0)
+    R = C // Npart
     if R == 1:
         return mat  # same primes: unit determinants lift to units
     ident = ((1, 0), (0, 0), (0, 0), (1, 0))
-
-    def crt_pair(u, v):
-        # x = u mod Np', x = v mod R, coordinatewise; Np' = C // R
-        Npart = C // R
-        out = []
-        for i in range(2):
-            g, s, t = _egcd(Npart, R)
-            x = (u[i] % Npart) * t * R + (v[i] % R) * s * Npart
-            out.append(x % C)
-        return tuple(out)
-
-    lifted = []
-    for entry, ide in zip(mat, ident):
-        # entry is a residue pair mod N; embed mod Npart = same primes part
-        lifted.append(crt_pair(entry, ide))
-    return tuple(lifted)
-
-
-def _egcd(a, b):
-    if b == 0:
-        return (a, 1, 0)
-    g, x, y = _egcd(b, a % b)
-    return (g, y, x - (a // b) * y)
+    # x = u mod Npart, x = v mod R, coordinatewise
+    eR = R * pow(R, -1, Npart)
+    eN = Npart * pow(Npart, -1, R)
+    return tuple(tuple((u % Npart * eR + v * eN) % C for u, v in zip(entry, ide))
+                 for entry, ide in zip(mat, ident))
 
 
 def sl2_order(field: NumberField, N: int) -> int:
@@ -208,13 +165,6 @@ def sl2_order(field: NumberField, N: int) -> int:
 
 # ---------------------------------------------------------------------------
 # induced functions and the spherical projector
-
-
-@dataclass
-class SphericalData:
-    """Marker for the line C*S(phi): the function that is 1 on SL2(Ohat)."""
-
-    data: HeckeCharacterData
 
 
 class IndFunction:
@@ -282,21 +232,7 @@ def induced_from_coset_values(group: MatrixGroup, data: HeckeCharacterData,
     coset_values: list of complex, one per projective primitive column class
     (deterministic enumeration order).
     """
-    ring = group.ring
-    units = ring.units()
-    # G/B cosets keyed by projective class of the first column
-    def proj_key(v1, v2):
-        best = None
-        for t in units:
-            cand = (ring.mul(t, v1), ring.mul(t, v2))
-            if best is None or cand < best:
-                best = cand
-        return best
-
-    cosets = {}
-    for mat in group.gl2:
-        key = proj_key(mat[0], mat[2])
-        cosets.setdefault(key, []).append(mat)
+    cosets = _borel_cosets(group)
     keys = sorted(cosets)
     if len(coset_values) != len(keys):
         raise HorosphericalError(f"need {len(keys)} coset values")
@@ -314,19 +250,20 @@ def induced_from_coset_values(group: MatrixGroup, data: HeckeCharacterData,
     return IndFunction(group, data, table)
 
 
-def coset_count(group: MatrixGroup) -> int:
+def _borel_cosets(group: MatrixGroup) -> dict:
+    """G/B cosets of gl2 (in gl2 order), keyed by the projective class of the
+    first column: its least multiple by a unit."""
     ring = group.ring
     units = ring.units()
-    seen = set()
+    cosets = {}
     for mat in group.gl2:
-        v1, v2 = mat[0], mat[2]
-        best = None
-        for t in units:
-            cand = (ring.mul(t, v1), ring.mul(t, v2))
-            if best is None or cand < best:
-                best = cand
-        seen.add(best)
-    return len(seen)
+        key = min((ring.mul(t, mat[0]), ring.mul(t, mat[2])) for t in units)
+        cosets.setdefault(key, []).append(mat)
+    return cosets
+
+
+def coset_count(group: MatrixGroup) -> int:
+    return len(_borel_cosets(group))
 
 
 def spherical_S(data: HeckeCharacterData, torus_t1, torus_t2,
@@ -349,7 +286,7 @@ def psi_project(psi: IndFunction):
     for s in group.sl2:
         acc += psi.table[s]
     coeff = acc / n
-    return coeff, SphericalData(psi.data)
+    return coeff, psi.data
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +295,16 @@ def psi_project(psi: IndFunction):
 
 @dataclass
 class TateFactorization:
-    """(1/sqrt(d_F)) * ramified part * unramified Euler product at s."""
+    """(1/sqrt(d_F)) * unramified Euler product at s."""
 
     constant: float
-    ramified: complex
     euler_value: complex
     tail_bound: float
     prime_bound: int
 
     @property
     def value(self) -> complex:
-        return self.constant * self.ramified * self.euler_value
+        return self.constant * self.euler_value
 
 
 def hecke_L_partial(field: NumberField, rc: RayClassGroup, chi: GroupCharacter,
@@ -386,7 +322,7 @@ def hecke_L_partial(field: NumberField, rc: RayClassGroup, chi: GroupCharacter,
         prod *= 1.0 / (1.0 - chi_val * np_ ** (-s))
     # tail: log prod over Np > P bounded by sum 2 Np^-s <= 2 * integral
     tail = 2.0 * 2.0 * P ** (1 - s) / (s - 1) / math.log(max(P, 2))
-    return TateFactorization(1.0 / math.sqrt(field.discriminant), 1.0, prod, tail, P)
+    return TateFactorization(1.0 / math.sqrt(field.discriminant), prod, tail, P)
 
 
 def lambda_constant(rc: RayClassGroup, chi_prime: GroupCharacter, m: int,
@@ -423,6 +359,34 @@ def _line_sums(field: NumberField, N: int, C: int, k: int, B, precision: int):
     return np.array(Zt, dtype=np.complex128)
 
 
+def _rho(tbl: np.ndarray, scale, C: int, eta, m: int, rc: RayClassGroup, mats,
+         B, precision: int) -> list[complex]:
+    """rho at the matrices mats, from the dense complex table tbl of fhat
+    (scale s', modulus C); eta, when given, twists by eta(det g)."""
+    field = scale.field
+    if rc.N != C and C % rc.N != 0:
+        raise HorosphericalError("level of phi incompatible with the group level")
+    k = m + 2
+    group = matrix_group(field.degree, field.D, rc.N)
+    Z = _line_sums(field, rc.N, C, k, B, precision)
+    cN = _unfold_constant(field, rc, m)
+    sprime_nk = float(scale.norm()) ** k if field.degree == 2 else float(scale.a) ** k
+    grid = _IndexGrid(field, C)
+    ring = grid.ring
+    lam = tuple(np.array(ring.elements()).T)  # O/C in the order of Z
+    # w0 = ghat^-1 e1 per matrix; w0[:, i, j] is coordinate j of entry i
+    w0 = np.array([group.hat_inverse_column(_lift_matrix(mat, rc.N, C), ring)
+                   for mat in mats], dtype=np.int64).reshape(-1, 2, 2, 1)
+    # row r holds the indices of lam * w0 of matrix r, lam over O/C
+    idx = grid.index_of(tuple(ring.mul(lam, (w0[:, i, 0], w0[:, i, 1])) for i in range(2)))
+    vals = cN * (tbl[idx] @ Z) / sprime_nk
+    if eta is not None:
+        plus = tuple([1] * rc.sign_count)
+        classes = [rc._rep_map[(group.det(mat), plus)] for mat in mats]
+        vals *= [cmath.exp(2j * cmath.pi * float(eta.exponent_at(c))) for c in classes]
+    return [complex(v) for v in vals]
+
+
 def horospherical_map(phi, m: int, rc: RayClassGroup, mats, B=2e4,
                       precision: int = 64) -> list[complex]:
     """rho(phi) sampled at integral matrix representatives (mod N).
@@ -434,48 +398,8 @@ def horospherical_map(phi, m: int, rc: RayClassGroup, mats, B=2e4,
     eta = phi.eta if isinstance(phi, TwistedSchwartz) else None
     if not is_S0(f):
         raise PreconditionError("the horospherical map is defined on S^0")
-    field = f.field
-    k = m + 2
     fh = fourier_transform(f)
-    C = fh.C
-    group = matrix_group(field.degree, field.D, rc.N)
-    if rc.N != C and C % rc.N != 0:
-        raise HorosphericalError("level of phi incompatible with the group level")
-    Z = _line_sums(field, rc.N, C, k, B, precision)
-    cN = _unfold_constant(field, rc, m)
-    tbl = fh.complex_table()
-    sprime_nk = float(fh.scale.norm()) ** k if field.degree == 2 \
-        else float(fh.scale.a) ** k
-    ring = ResidueRing(field, C)
-    out = []
-    for mat in mats:
-        lifted = _lift_matrix(mat, rc.N, C)
-        w0 = group.hat_inverse_column(lifted, ring)
-        # indices of lam * w0 over lam in O/C
-        acc = 0j
-        if field.degree == 1:
-            for lam in range(C):
-                idx = (lam * w0[0][0] % C) * C + (lam * w0[1][0] % C)
-                v = tbl[idx]
-                if v:
-                    acc += v * Z[lam]
-        else:
-            for la in range(C):
-                for lb in range(C):
-                    lam = (la, lb)
-                    i1 = ring.mul(lam, w0[0])
-                    i2 = ring.mul(lam, w0[1])
-                    idx = ((i1[0] * C + i1[1]) * C + i2[0]) * C + i2[1]
-                    v = tbl[idx]
-                    if v:
-                        acc += v * Z[la * C + lb]
-        val = cN * acc / sprime_nk
-        if eta is not None:
-            det = group.det(mat)
-            plus = tuple([1] * rc.sign_count)
-            val *= cmath.exp(2j * cmath.pi * float(eta.exponent_at(rc._rep_map[(det, plus)])))
-        out.append(complex(val))
-    return out
+    return _rho(fh.complex_table(), fh.scale, fh.C, eta, m, rc, mats, B, precision)
 
 
 def kernel_coefficient(phi, m: int, rc: RayClassGroup, B=2e4,
@@ -500,20 +424,17 @@ def _class_representatives(rc: RayClassGroup):
     return [reps[c] for c in sorted(reps)]
 
 
-def s_psi_bar(psi: IndFunction) -> FractionalSchwartz:
+def s_psi_bar(psi: IndFunction) -> "ComplexSchwartz":
     """The zero-extension Schwartz function of the det-untwisted psi:
     supported on primitive-vector cosets x e1 + N V(Zhat), value psibar(x)."""
     group = psi.group
     field = group.field
     N = group.N
-    ring = group.ring
     data = psi.data
     rc = data.rc
     plus = tuple([1] * rc.sign_count)
-    f = FractionalSchwartz.zeros(field, N)
-    # complex-valued table: store via rational approximation is wrong; use a
-    # dense complex table carried separately
-    values = np.zeros(f.grid.n, dtype=np.complex128)
+    grid = _IndexGrid(field, N)
+    values = np.zeros(grid.n, dtype=np.complex128)
     for v in group.primitive_vectors():
         x = group.completion_matrix(v)
         det = group.det(x)
@@ -521,9 +442,8 @@ def s_psi_bar(psi: IndFunction) -> FractionalSchwartz:
         # psibar(x) = eta(det x)^-1 chi'(det x)^-1 psi(x)
         q = (data.eta.exponent_at(dcls) + data.chi_prime.exponent_at(dcls)) % 1
         val = psi.value(x) * cmath.exp(-2j * cmath.pi * float(q))
-        idx = f.grid.index_of((v[0], v[1]))
-        values[idx] = val
-    return _complex_schwartz(field, N, values)
+        values[grid.index_of(v)] = val
+    return ComplexSchwartz(field, field.one, N, values)
 
 
 class ComplexSchwartz:
@@ -535,26 +455,15 @@ class ComplexSchwartz:
     """
 
     def __init__(self, field, scale, C, values: np.ndarray):
-        base = FractionalSchwartz.zeros(field, C, scale)
         self.field = field
-        self.scale = scale if not isinstance(scale, int) else field.elt(scale)
+        self.scale = scale
         self.C = C
-        self.grid = base.grid
+        self.grid = _IndexGrid(field, C)
         self.values = values
-
-    @property
-    def xi(self):
-        return 1 if self.field.degree == 1 else 2
-
-
-def _complex_schwartz(field, C, values) -> ComplexSchwartz:
-    return ComplexSchwartz(field, field.one, C, values)
 
 
 def complex_fourier_transform(f: ComplexSchwartz) -> ComplexSchwartz:
     """Transform of a dense complex table (same kernel as the exact model)."""
-    from .schwartz import _pairing_exponent_matrix
-
     field = f.field
     C = f.C
     Q = _pairing_exponent_matrix(field.degree, field.D, C)
@@ -576,25 +485,24 @@ def preimage(psi: IndFunction, lam_P: int = 200_000, B=2e4,
     projector the result is trace-zero."""
     data = psi.data
     rc = data.rc
-    group = psi.group
-    field = group.field
-    N = group.N
+    field = psi.group.field
     lam = lambda_constant(rc, data.chi_prime, data.m, lam_P)
     if abs(lam) < 1e-12:
         raise HorosphericalError(
             "Lambda_N vanished numerically; the Euler product must be nonzero")
     base = s_psi_bar(psi)
-    total = np.zeros(base.grid.n, dtype=np.complex128)
+    grid = base.grid
+    total = np.zeros(grid.n, dtype=np.complex128)
     plus = tuple([1] * rc.sign_count)
     for (residue, signs) in _class_representatives(rc):
         # chi'_f sees only the finite part of the representative idele
         fin_coords = rc._rep_map[(residue, plus)]
         chi_val = cmath.exp(2j * cmath.pi * float(data.chi_prime.exponent_at(fin_coords)))
         # scale the argument: s_psibar(u v) with u acting by its residue
-        perm = _residue_permutation(base, residue)
+        perm = grid.image_indices((residue, (0, 0), (0, 0), residue))
         total += chi_val * base.values[perm]
     total /= lam
-    fhat = ComplexSchwartz(field, field.one, N, total)
+    fhat = ComplexSchwartz(field, field.one, base.C, total)
     # invert: the transform is self-inverse on this family
     phi_c = complex_fourier_transform(fhat)
     return PreimageFunction(phi_c, fhat, data)
@@ -613,73 +521,11 @@ class PreimageFunction:
         return abs(v0) < tol and abs(self.function.values.sum()) < tol
 
 
-def _residue_permutation(f, residue):
-    """Index permutation idx(v) -> idx(residue * v) on the table grid."""
-    from .classfield import ResidueRing
-
-    ring = ResidueRing(f.field, f.C)
-    g = f.grid
-    C = f.C
-    n = g.n
-    perm = np.zeros(n, dtype=np.int64)
-    for idx in range(n):
-        (a1, b1), (a2, b2) = g.coords_of(idx)
-        w1 = ring.mul(residue, (a1, b1))
-        w2 = ring.mul(residue, (a2, b2))
-        if f.xi == 1:
-            perm[idx] = (w1[0] % C) * C + (w2[0] % C)
-        else:
-            perm[idx] = ((w1[0] * C + w1[1]) * C + w2[0]) * C + w2[1]
-    return perm
-
-
-def horospherical_map_complex(phi: "PreimageFunction | ComplexSchwartz", m: int,
-                              rc: RayClassGroup, mats, B=2e4,
-                              precision: int = 64) -> list[complex]:
+def horospherical_map_complex(phi: PreimageFunction, m: int, rc: RayClassGroup, mats,
+                              B=2e4, precision: int = 64) -> list[complex]:
     """rho on the complex-table family (the preimage path)."""
-    if isinstance(phi, PreimageFunction):
-        fhat = phi.transform
-        eta = phi.data.eta
-    else:
-        fhat = complex_fourier_transform(phi)
-        eta = None
-    field = fhat.field
-    k = m + 2
-    C = fhat.C
-    group = matrix_group(field.degree, field.D, rc.N)
-    Z = _line_sums(field, rc.N, C, k, B, precision)
-    cN = _unfold_constant(field, rc, m)
-    sprime_nk = float(fhat.scale.norm()) ** k if field.degree == 2 \
-        else float(fhat.scale.a) ** k
-    ring = ResidueRing(field, C)
-    tbl = fhat.values
-    out = []
-    plus = tuple([1] * rc.sign_count)
-    for mat in mats:
-        lifted = _lift_matrix(mat, rc.N, C)
-        w0 = group.hat_inverse_column(lifted, ring)
-        acc = 0j
-        if field.degree == 1:
-            for lam in range(C):
-                idx = (lam * w0[0][0] % C) * C + (lam * w0[1][0] % C)
-                v = tbl[idx]
-                if v:
-                    acc += v * Z[lam]
-        else:
-            for la in range(C):
-                for lb in range(C):
-                    i1 = ring.mul((la, lb), w0[0])
-                    i2 = ring.mul((la, lb), w0[1])
-                    idx = ((i1[0] * C + i1[1]) * C + i2[0]) * C + i2[1]
-                    v = tbl[idx]
-                    if v:
-                        acc += v * Z[la * C + lb]
-        val = cN * acc / sprime_nk
-        if eta is not None:
-            det = group.det(mat)
-            val *= cmath.exp(2j * cmath.pi * float(eta.exponent_at(rc._rep_map[(det, plus)])))
-        out.append(complex(val))
-    return out
+    fhat = phi.transform
+    return _rho(fhat.values, fhat.scale, fhat.C, phi.data.eta, m, rc, mats, B, precision)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from sympy import Poly, cyclotomic_poly, symbols
+from sympy import Poly, cyclotomic_poly, factorint, symbols
 
+from .classfield import ResidueRing
 from .field import FieldElement, NumberField
 
 _X = symbols("x")
@@ -215,6 +216,7 @@ class _IndexGrid:
     def __init__(self, field: NumberField, C: int):
         self.field = field
         self.C = C
+        self.ring = ResidueRing(field, C)
         self.xi = 1 if field.degree == 1 else 2
         if self.xi == 1:
             self.n = C * C
@@ -232,9 +234,11 @@ class _IndexGrid:
             a = a // C
             self.B1 = a % C
             self.A1 = a // C
+        self.coords = ((self.A1, self.B1), (self.A2, self.B2))
 
-    def index_of(self, v) -> int:
-        """v = ((a1,b1),(a2,b2)) mod C (b's ignored for Q)."""
+    def index_of(self, v):
+        """Flat index of v = ((a1,b1),(a2,b2)) mod C (b's ignored for Q); the
+        coordinates may be integers or numpy arrays (broadcast)."""
         C = self.C
         (a1, b1), (a2, b2) = v
         if self.xi == 1:
@@ -242,16 +246,16 @@ class _IndexGrid:
         return (((a1 % C) * C + (b1 % C)) * C + (a2 % C)) * C + (b2 % C)
 
     def coords_of(self, idx: int):
-        C = self.C
-        if self.xi == 1:
-            return ((idx // C, 0), (idx % C, 0))
-        b2 = idx % C
-        idx //= C
-        a2 = idx % C
-        idx //= C
-        b1 = idx % C
-        a1 = idx // C
-        return ((a1, b1), (a2, b2))
+        return tuple((int(a[idx]), int(b[idx])) for a, b in self.coords)
+
+    def image_indices(self, mat) -> np.ndarray:
+        """Index of g v for every table index v, g = (a, b, c, d) over O/C."""
+        ring = self.ring
+        a, b, c, d = mat
+        v1, v2 = self.coords
+        w1 = ring.add(ring.mul(a, v1), ring.mul(b, v2))
+        w2 = ring.add(ring.mul(c, v1), ring.mul(d, v2))
+        return self.index_of((w1, w2))
 
 
 @lru_cache(maxsize=None)
@@ -342,10 +346,6 @@ class FractionalSchwartz:
 
     # -- values ---------------------------------------------------------------
 
-    @property
-    def xi(self) -> int:
-        return self.grid.xi
-
     def value_at_index(self, idx: int) -> CyclotomicValue:
         terms = {}
         for j in range(self.M):
@@ -366,11 +366,6 @@ class FractionalSchwartz:
         return np.nonzero(self.coeffs.any(axis=1))[0]
 
     # -- structure ------------------------------------------------------------
-
-    def canonical_tensor(self):
-        """(M, Phi_M-reduced integer tensor, prefactor) for exact comparisons."""
-        red = self.coeffs @ _phi_reduction_matrix(self.M)
-        return self.M, red, self.prefactor
 
     def equals(self, other: "FractionalSchwartz") -> bool:
         if self.field != other.field or self.C != other.C or self.scale != other.scale:
@@ -396,13 +391,7 @@ class FractionalSchwartz:
         """Present the same function at modulus k*C (table constant on cosets)."""
         C2 = self.C * k
         out = FractionalSchwartz.zeros(self.field, C2, self.scale, self.M * k)
-        g2 = out.grid
-        if self.xi == 1:
-            src = (g2.A1 % self.C) * self.C + (g2.A2 % self.C)
-        else:
-            src = (((g2.A1 % self.C) * self.C + (g2.B1 % self.C)) * self.C
-                   + (g2.A2 % self.C)) * self.C + (g2.B2 % self.C)
-        out.coeffs[:, ::k] = self.coeffs[src]
+        out.coeffs[:, ::k] = self.coeffs[self.grid.index_of(out.grid.coords)]
         out.prefactor = self.prefactor
         return out
 
@@ -471,40 +460,22 @@ def act_group(g, f: FractionalSchwartz, det_inverse: bool = False) -> Fractional
     """(f.g)(v) = f(g v) for a 2x2 matrix over O (entries FieldElement or int),
     with det(g) invertible modulo C.  det_inverse applies g/det(g) instead
     (the adjoint-inverse action used by the equivariance law)."""
-    field = f.field
-    C = f.C
-    from .classfield import ResidueRing
-
-    ring = ResidueRing(field, C)
+    ring = f.grid.ring
 
     def as_res(x):
         if isinstance(x, FieldElement):
             return ring.reduce(x)
-        return (int(x) % C, 0)
+        return (int(x) % f.C, 0)
 
-    a, b, c, d = (as_res(g[0][0]), as_res(g[0][1]), as_res(g[1][0]), as_res(g[1][1]))
-    det = _res_sub(ring.mul(a, d), ring.mul(b, c), C)
+    mat = (as_res(g[0][0]), as_res(g[0][1]), as_res(g[1][0]), as_res(g[1][1]))
+    a, b, c, d = mat
+    det = ring.sub(ring.mul(a, d), ring.mul(b, c))
     if not ring.is_unit(det):
         raise SchwartzError("matrix determinant not invertible at the level")
-    mul = ring.one
     if det_inverse:
-        mul = ring.inv(det)
-    # image index of v: g v (then scaled by det^-1 if requested)
-    gr = f.grid
-    A1, B1, A2, B2 = gr.A1, gr.B1, gr.A2, gr.B2
-    v1 = np.stack([A1, B1], axis=1)
-    v2 = np.stack([A2, B2], axis=1)
-    w1 = _res_mat_vec(ring, a, v1, b, v2)
-    w2 = _res_mat_vec(ring, c, v1, d, v2)
-    if det_inverse:
-        w1 = _res_scalar_vec(ring, mul, w1)
-        w2 = _res_scalar_vec(ring, mul, w2)
-    if f.xi == 1:
-        src = (w1[:, 0] % C) * C + (w2[:, 0] % C)
-    else:
-        src = (((w1[:, 0] % C) * C + w1[:, 1] % C) * C + w2[:, 0] % C) * C + w2[:, 1] % C
+        mat = tuple(ring.mul(ring.inv(det), x) for x in mat)
     out = f.copy()
-    out.coeffs = f.coeffs[src]
+    out.coeffs = f.coeffs[f.grid.image_indices(mat)]
     return out
 
 
@@ -519,74 +490,22 @@ def det_norm_factor(g, f: FractionalSchwartz) -> Fraction:
     n = abs(det.norm())
     num = n.numerator
     part = 1
-    for p in set(_prime_factors(f.C)):
+    for p in factorint(f.C):
         while num % p == 0:
             num //= p
             part *= p
     return Fraction(part)
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def scale_by_residue(r, f: FractionalSchwartz) -> FractionalSchwartz:
     """f(r v) for a unit residue r in (O/C)^x: scalar idele action on the table."""
-    from .classfield import ResidueRing
-
-    ring = ResidueRing(f.field, f.C)
+    ring = f.grid.ring
     rr = r if isinstance(r, tuple) else (int(r) % f.C, 0)
     if not ring.is_unit(rr):
         raise SchwartzError("residue not invertible at the level")
-    gr = f.grid
-    v1 = np.stack([gr.A1, gr.B1], axis=1)
-    v2 = np.stack([gr.A2, gr.B2], axis=1)
-    w1 = _res_scalar_vec(ring, rr, v1)
-    w2 = _res_scalar_vec(ring, rr, v2)
-    C = f.C
-    if f.xi == 1:
-        src = (w1[:, 0] % C) * C + (w2[:, 0] % C)
-    else:
-        src = (((w1[:, 0] % C) * C + w1[:, 1] % C) * C + w2[:, 0] % C) * C + w2[:, 1] % C
     out = f.copy()
-    out.coeffs = f.coeffs[src]
+    out.coeffs = f.coeffs[f.grid.image_indices((rr, (0, 0), (0, 0), rr))]
     return out
-
-
-def _res_sub(u, v, C):
-    return ((u[0] - v[0]) % C, (u[1] - v[1]) % C)
-
-
-def _res_mat_vec(ring, coef1, vecs1, coef2, vecs2):
-    """coef1 * v1 + coef2 * v2 elementwise over index arrays of (a,b) rows."""
-    C = ring.N
-    tr, nm = ring.tr, ring.nm
-    a1, b1 = coef1
-    a2, b2 = coef2
-    x1, y1 = vecs1[:, 0], vecs1[:, 1]
-    x2, y2 = vecs2[:, 0], vecs2[:, 1]
-    ra = (a1 * x1 - b1 * y1 * nm + a2 * x2 - b2 * y2 * nm) % C
-    rb = (a1 * y1 + b1 * x1 + b1 * y1 * tr + a2 * y2 + b2 * x2 + b2 * y2 * tr) % C
-    return np.stack([ra, rb], axis=1)
-
-
-def _res_scalar_vec(ring, coef, vecs):
-    C = ring.N
-    tr, nm = ring.tr, ring.nm
-    a, b = coef
-    x, y = vecs[:, 0], vecs[:, 1]
-    ra = (a * x - b * y * nm) % C
-    rb = (a * y + b * x + b * y * tr) % C
-    return np.stack([ra, rb], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,26 @@ def test_eisenstein_value_demo(capsys):
     assert "value_re" in p["result"]
 
 
+def test_constant_term_bound_zero_is_an_error(capsys):
+    code, out = run_cli(["constant-term", "--D", "2", "--N", "3", "--bound", "0"], capsys)
+    assert code == 1
+    assert "bound" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("m", ["0", "1"])
+def test_eisenstein_oversized_box_is_refused(capsys, m):
+    """(2*40+1)^4 = 43M lattice points at xi = 2: an error record, quickly.
+    At m = 0 the convergence check refuses first; at m = 1 the box guard."""
+    import time
+
+    t0 = time.perf_counter()
+    code, out = run_cli(["eisenstein", "--D", "5", "--N", "2", "--m", m, "--bound", "40"],
+                        capsys)
+    assert time.perf_counter() - t0 < 5
+    assert code == 1
+    assert json.loads(out)["error"]
+
+
 def test_horospherical_kernel_demo(capsys):
     code, out = run_cli(["horospherical", "--D", "Q", "--N", "3",
                          "--check", "kernel", "--samples", "4"], capsys)

@@ -9,7 +9,9 @@ from eisterm.field import construct_field
 from eisterm.schwartz import FractionalSchwartz, fourier_transform, is_S0
 from eisterm.zeta import twisted_zeta_rank1
 from eisterm.eisenstein import (
+    MAX_BOX_POINTS,
     CertificationFailure,
+    EisensteinError,
     LatticeSumResult,
     PreconditionError,
     RationalCertificate,
@@ -123,6 +125,15 @@ def test_constant_term_requires_s0():
     d0 = FractionalSchwartz.delta(Q, 3, ((0, 0), (0, 0)))
     with pytest.raises(PreconditionError):
         constant_term(d0, 0)
+
+
+@pytest.mark.parametrize("field", [Q, K2])
+@pytest.mark.parametrize("B", [0, -5])
+def test_constant_term_requires_positive_bound(field, B):
+    f = FractionalSchwartz.from_rational_table(
+        field, 3, {((1, 0), (0, 0)): 1, ((0, 0), (1, 0)): -1})
+    with pytest.raises(PreconditionError):
+        constant_term(f, 0, B=B)
 
 
 def test_constant_term_bernoulli_grid():
@@ -323,6 +334,23 @@ def test_eisenstein_value_quadratic_runs():
     f = rand_s0(K5, 3, random.Random(2))
     r = eisenstein_value(f, None, 1, 0.0, ((complex(0, 1), complex(0.2, 0.8)), (1.0, 1.0)), B=6)
     assert np.isfinite(r.value.real) and np.isfinite(r.value.imag)
+
+
+def test_eisenstein_value_box_guard():
+    """The guard refuses (2B+1)^(2 xi) > MAX_BOX_POINTS before allocating,
+    and admits the largest box below it."""
+    import time
+
+    f = rand_s0(K5, 2, random.Random(5))
+    point = ((complex(0, 1), complex(0, 1)), (1.0, 1.0))
+    t0 = time.perf_counter()
+    with pytest.raises(EisensteinError):
+        eisenstein_value(f, None, 1, 0.0, point, B=40)
+    assert time.perf_counter() - t0 < 5
+    assert 81 ** 4 > MAX_BOX_POINTS >= 13 ** 4  # refuses B = 40, admits the CLI's B = 6
+    with pytest.raises(EisensteinError):
+        eisenstein_value(rand_s0(Q, 3, random.Random(5)), None, 1, 0.0,
+                         (complex(0, 1), 1.0), B=1001)
 
 
 # -- quadrature cross-check ----------------------------------------------------

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -9,13 +10,18 @@ from eisterm.field import construct_field
 from eisterm.classfield import (
     GroupCharacter,
     HeckeCharacterData,
+    ResidueRing,
     all_characters,
     ray_class_group,
 )
-from eisterm.schwartz import FractionalSchwartz, is_S0
+from eisterm.schwartz import FractionalSchwartz, fourier_transform, is_S0
 from eisterm.eisenstein import PreconditionError
 from eisterm.horospherical import (
+    HorosphericalError,
     ResourceError,
+    _lift_matrix,
+    _line_sums,
+    _unfold_constant,
     hecke_L_partial,
     horospherical_map,
     horospherical_map_complex,
@@ -93,6 +99,50 @@ def test_matrix_inverse():
     for _ in range(20):
         m = rng.choice(g.gl2)
         assert g.mul(m, g.inv(m)) == (g.ring.one, (0, 0), (0, 0), g.ring.one)
+
+
+def _completion_reference(ring, v):
+    """Brute-force scan: the first (w1, w2), in ResidueRing order, with
+    det(v | w) a unit, as the completed matrix (v1, w1, v2, w2); else None."""
+    v1, v2 = v
+    for w1 in ring.elements():
+        for w2 in ring.elements():
+            if ring.is_unit(ring.sub(ring.mul(v1, w2), ring.mul(w1, v2))):
+                return (v1, w1, v2, w2)
+    return None
+
+
+@pytest.mark.parametrize("D,N", [(None, 3), (None, 4), (None, 5), (5, 2), (5, 3), (2, 3)])
+def test_primitive_vectors_match_brute_force_scan(D, N):
+    K = construct_field(D)
+    group = matrix_group(K.degree, K.D, N)
+    elems = group.ring.elements()
+    scans = [((v1, v2), _completion_reference(group.ring, (v1, v2)))
+             for v1 in elems for v2 in elems]
+    prim = [(v, mat) for v, mat in scans if mat is not None]
+    assert group.primitive_vectors() == [v for v, _ in prim]
+    assert [group.completion_matrix(v) for v, _ in prim] == [mat for _, mat in prim]
+    with pytest.raises(HorosphericalError):
+        group.completion_matrix(((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("D,N,C", [(None, 2, 6), (None, 3, 15), (None, 4, 12), (5, 2, 6)])
+def test_lift_matrix_crt(D, N, C):
+    """The lift to modulus C is the matrix at the primes of N and the
+    identity at the new primes, with a unit determinant mod C."""
+    K = construct_field(D)
+    group = matrix_group(K.degree, K.D, N)
+    R = C
+    for p in range(2, N + 1):
+        while N % p == 0 and R % p == 0:
+            R //= p
+    ring = ResidueRing(K, C)
+    for mat in group.gl2[:40]:
+        lifted = _lift_matrix(mat, N, C)
+        assert [tuple(x % N for x in e) for e in lifted] == list(mat)
+        assert [tuple(x % R for x in e) for e in lifted] == [(1, 0), (0, 0), (0, 0), (1, 0)]
+        a, b, c, d = lifted
+        assert ring.is_unit(ring.sub(ring.mul(a, d), ring.mul(b, c)))
 
 
 # -- induced functions and the projector ----------------------------------------
@@ -321,6 +371,62 @@ def test_preimage_roundtrip_rational():
     vals = horospherical_map_complex(pre, 0, rc, mats)
     for mat, v in zip(mats, vals):
         assert abs(v - psi.value(mat)) < 1e-4, (mat, v, psi.value(mat))
+
+
+def _rho_reference(tbl, scale, C, eta, m, rc, mats, B=2e4, precision=64):
+    """rho by the per-lambda loop: one table lookup per lambda in O/C."""
+    field = rc.field
+    k = m + 2
+    group = matrix_group(field.degree, field.D, rc.N)
+    Z = _line_sums(field, rc.N, C, k, B, precision)
+    cN = _unfold_constant(field, rc, m)
+    sprime_nk = float(scale.norm()) ** k if field.degree == 2 else float(scale.a) ** k
+    ring = ResidueRing(field, C)
+    plus = tuple([1] * rc.sign_count)
+    out = []
+    for mat in mats:
+        w0 = group.hat_inverse_column(_lift_matrix(mat, rc.N, C), ring)
+        acc = 0j
+        if field.degree == 1:
+            for lam in range(C):
+                acc += tbl[(lam * w0[0][0] % C) * C + (lam * w0[1][0] % C)] * Z[lam]
+        else:
+            for la in range(C):
+                for lb in range(C):
+                    i1 = ring.mul((la, lb), w0[0])
+                    i2 = ring.mul((la, lb), w0[1])
+                    acc += tbl[((i1[0] * C + i1[1]) * C + i2[0]) * C + i2[1]] * Z[la * C + lb]
+        val = cN * acc / sprime_nk
+        if eta is not None:
+            det = group.det(mat)
+            val *= cmath.exp(2j * cmath.pi * float(eta.exponent_at(rc._rep_map[(det, plus)])))
+        out.append(val)
+    return out
+
+
+def _assert_close(got, want):
+    scale = max(abs(w) for w in want)
+    assert len(got) == len(want)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("D,N", [(None, 3), (None, 4), (5, 3)])
+def test_map_matches_per_lambda_loop(D, N):
+    """Both public maps against the per-lambda loop: the exact path (also at
+    a refined modulus, which lifts the matrices) and the preimage path."""
+    K = construct_field(D)
+    rng = random.Random(N * 17 + (D or 0))
+    rc = ray_class_group(K, N)
+    mats = matrix_group(K.degree, K.D, N).sl2[:12]
+    f = rand_s0(K, N, rng)
+    for g in ([f, f.refine(2)] if D is None else [f]):
+        fh = fourier_transform(g)
+        want = _rho_reference(fh.complex_table(), fh.scale, fh.C, None, 0, rc, mats)
+        _assert_close(horospherical_map(g, 0, rc, mats), want)
+    pre = preimage(random_kernel_psi(rc, rng), lam_P=10_000)
+    fhat = pre.transform
+    want = _rho_reference(fhat.values, fhat.scale, fhat.C, pre.data.eta, 0, rc, mats)
+    _assert_close(horospherical_map_complex(pre, 0, rc, mats), want)
 
 
 def test_preimage_kernel_case_trace_zero():

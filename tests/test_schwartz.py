@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -267,6 +268,55 @@ def test_scale_by_residue():
     for idx in range(f.grid.n):
         (a1, _), (a2, _) = f.grid.coords_of(idx)
         assert g.value_at_index(idx) == f.value_at(((2 * a1 % 5, 0), (2 * a2 % 5, 0)))
+
+
+def _image_reference(field, C, mat, scalar=(1, 0)):
+    """Index of scalar * (a v1 + b v2, c v1 + d v2) for every table index v:
+    a per-index ResidueRing loop with the flat index written out by hand."""
+    from eisterm.classfield import ResidueRing
+
+    ring = ResidueRing(field, C)
+    a, b, c, d = mat
+    xi = 1 if field.degree == 1 else 2
+    perm = []
+    for coords in itertools.product(range(C), repeat=2 * xi):
+        v1, v2 = ((coords[0], 0), (coords[1], 0)) if xi == 1 else (coords[:2], coords[2:])
+        w1 = ring.mul(scalar, ring.add(ring.mul(a, v1), ring.mul(b, v2)))
+        w2 = ring.mul(scalar, ring.add(ring.mul(c, v1), ring.mul(d, v2)))
+        if xi == 1:
+            perm.append(w1[0] * C + w2[0])
+        else:
+            perm.append(((w1[0] * C + w1[1]) * C + w2[0]) * C + w2[1])
+    return np.array(perm)
+
+
+@pytest.mark.parametrize("D,C", [(None, 3), (None, 4), (None, 6), (5, 2), (5, 3), (2, 3)])
+def test_permutations_match_per_index_loop(D, C):
+    """scale_by_residue and act_group move table entries by exactly the
+    permutation of the per-index loop (a table of distinct entries shows it)."""
+    from eisterm.classfield import ResidueRing
+
+    K = construct_field(D)
+    ring = ResidueRing(K, C)
+    n = C ** (2 * K.degree)
+    coeffs = np.zeros((n, C), dtype=np.int64)
+    coeffs[:, 0] = np.arange(n)
+    f = FractionalSchwartz(K, K.one, C, coeffs)
+    rng = random.Random(C * 31 + (D or 0))
+    for _ in range(4):
+        r = rng.choice(ring.units())
+        zero = (0, 0)
+        got = scale_by_residue(r, f).coeffs[:, 0]
+        assert np.array_equal(got, _image_reference(K, C, (r, zero, zero, r)))
+        while True:
+            mat = tuple(rng.choice(ring.elements()) for _ in range(4))
+            det = ring.sub(ring.mul(mat[0], mat[3]), ring.mul(mat[1], mat[2]))
+            if ring.is_unit(det):
+                break
+        g = [[K.elt(*mat[0]), K.elt(*mat[1])], [K.elt(*mat[2]), K.elt(*mat[3])]]
+        assert np.array_equal(act_group(g, f).coeffs[:, 0], _image_reference(K, C, mat))
+        assert np.array_equal(act_group(g, f, det_inverse=True).coeffs[:, 0],
+                              _image_reference(K, C, mat, ring.inv(det)))
 
 
 def test_serialization_roundtrip():
