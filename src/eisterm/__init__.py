@@ -31,7 +31,6 @@ from .classfield import (
 from .schwartz import (
     CyclotomicValue,
     FractionalSchwartz,
-    PairingValue,
     TwistedSchwartz,
     act_group,
     fourier_transform,

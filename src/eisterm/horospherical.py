@@ -32,9 +32,10 @@ from .classfield import (
     all_characters,
 )
 from .schwartz import (
+    ComplexSchwartz,
     TwistedSchwartz,
     _IndexGrid,
-    _pairing_exponent_matrix,
+    complex_fourier_transform,
     fourier_transform,
     is_S0,
 )
@@ -424,7 +425,7 @@ def _class_representatives(rc: RayClassGroup):
     return [reps[c] for c in sorted(reps)]
 
 
-def s_psi_bar(psi: IndFunction) -> "ComplexSchwartz":
+def s_psi_bar(psi: IndFunction) -> ComplexSchwartz:
     """The zero-extension Schwartz function of the det-untwisted psi:
     supported on primitive-vector cosets x e1 + N V(Zhat), value psibar(x)."""
     group = psi.group
@@ -444,37 +445,6 @@ def s_psi_bar(psi: IndFunction) -> "ComplexSchwartz":
         val = psi.value(x) * cmath.exp(-2j * cmath.pi * float(q))
         values[grid.index_of(v)] = val
     return ComplexSchwartz(field, field.one, N, values)
-
-
-class ComplexSchwartz:
-    """Complex-valued level table with the same transform semantics.
-
-    Used on the preimage path where character values are genuinely complex;
-    carries a dense complex table plus the scale/modulus bookkeeping of the
-    exact model.
-    """
-
-    def __init__(self, field, scale, C, values: np.ndarray):
-        self.field = field
-        self.scale = scale
-        self.C = C
-        self.grid = _IndexGrid(field, C)
-        self.values = values
-
-
-def complex_fourier_transform(f: ComplexSchwartz) -> ComplexSchwartz:
-    """Transform of a dense complex table (same kernel as the exact model)."""
-    field = f.field
-    C = f.C
-    Q = _pairing_exponent_matrix(field.degree, field.D, C)
-    roots = np.exp(-2j * np.pi * np.arange(C) / C)
-    W = roots[Q]
-    ns = f.scale.norm()
-    kappa = float(Fraction(ns.denominator ** 2, ns.numerator ** 2)
-                  * Fraction(1, C ** (2 * field.degree) * field.discriminant))
-    out = kappa * (W @ f.values)
-    new_scale = (f.scale * field.elt(C) * field.different_generator).inverse()
-    return ComplexSchwartz(field, new_scale, C, out)
 
 
 def preimage(psi: IndFunction, lam_P: int = 200_000, B=2e4,

@@ -8,8 +8,12 @@ so the transform
     fhat(x) = |N(s)|^-2 C^-2xi d_F^-1 * sum_u table(u) e(-<x, s u>)
 
 is computed in exact integer arithmetic: the additive character exponent of a
-pair of table indices is (omega-coefficient of det(y, u))/C, an integer mod C.
-The transform sends scale s to 1/(s*C*delta) and keeps the modulus.
+pair of table indices y, u is (omega-coefficient of det(y, u))/C, an integer
+(A y) . u mod C, so fhat(y) = F(A y mod C) with F the plain DFT over
+(Z/C)^2xi, done one axis at a time by shifting and adding coefficient vectors.
+The complex tables of the preimage path use the same factorization through
+numpy's FFT.  The transform sends scale s to 1/(s*C*delta) and keeps the
+modulus.
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ _X = symbols("x")
 
 class SchwartzError(ValueError):
     pass
+
+
+# n * M bound on a level table's int64 coefficients (32 MB), checked before
+# anything of that size is allocated
+MAX_TABLE_ENTRIES = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -180,32 +189,12 @@ class CyclotomicValue:
 # symplectic trace pairing
 
 
-class PairingValue:
-    """<x,y> = Tr(det(x,y)) as an exact rational with its class mod 1."""
-
-    def __init__(self, value: Fraction):
-        self.value = Fraction(value)
-
-    @property
-    def mod_one(self) -> Fraction:
-        return self.value % 1
-
-    def character_value(self) -> CyclotomicValue:
-        """psi_0 at the finite adeles of a global rational: e(value mod 1)."""
-        return CyclotomicValue.root_of_unity(self.mod_one)
-
-    def __eq__(self, other):
-        return self.value == (other.value if isinstance(other, PairingValue) else Fraction(other))
-
-    def __repr__(self):
-        return f"PairingValue({self.value})"
-
-
 def trace_pairing(x: tuple[FieldElement, FieldElement],
-                  y: tuple[FieldElement, FieldElement]) -> PairingValue:
-    """<x,y> = Tr_{F/Q}(x1 y2 - x2 y1); skew-symmetric and bilinear."""
+                  y: tuple[FieldElement, FieldElement]) -> Fraction:
+    """<x,y> = Tr_{F/Q}(x1 y2 - x2 y1) as an exact rational; skew-symmetric and
+    bilinear."""
     d = x[0] * y[1] - x[1] * y[0]
-    return PairingValue(d.trace())
+    return Fraction(d.trace())
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +248,23 @@ class _IndexGrid:
 
 
 @lru_cache(maxsize=None)
-def _pairing_exponent_matrix(degree: int, D: int, C: int) -> np.ndarray:
-    """Q[y,u] = numerator mod C of the additive-character exponent <s'y, s u>.
+def _dual_index(degree: int, D: int, C: int) -> np.ndarray:
+    """Flat index of A y mod C for every table index y.
 
-    Equals det(y,u) mod C for Q and the omega-coefficient of det(y,u) mod C
-    for quadratic fields (exactly Tr(det(y,u)/(C*delta)) cleared of C).
+    A is the pairing in coordinates: the additive-character exponent of a
+    pair of table indices, det(y,u) mod C for Q and the omega-coefficient of
+    det(y,u) mod C for quadratic fields (exactly Tr(det(y,u)/(C*delta))
+    cleared of C), equals (A y) . u mod C.  So the transform at y is the plain
+    DFT over (Z/C)^2xi at A y, also where A is singular mod C.
     """
     from .field import construct_field
 
     field = construct_field(None if degree == 1 else D)
     g = _IndexGrid(field, C)
-    tr = int(field.w_trace)
-    A1y, B1y, A2y, B2y = (v.reshape(-1, 1) for v in (g.A1, g.B1, g.A2, g.B2))
-    A1u, B1u, A2u, B2u = (v.reshape(1, -1) for v in (g.A1, g.B1, g.A2, g.B2))
     if degree == 1:
-        Q = A1y * A2u - A2y * A1u
-    else:
-        # omega-coefficient of y1*u2 - y2*u1
-        w_y1u2 = A1y * B2u + B1y * A2u + B1y * B2u * tr
-        w_y2u1 = A2y * B1u + B2y * A1u + B2y * B1u * tr
-        Q = w_y1u2 - w_y2u1
-    return np.mod(Q, C).astype(np.int64)
+        return g.index_of(((-g.A2, 0), (g.A1, 0)))
+    tr = int(field.w_trace)
+    return g.index_of(((-g.B2, -g.A2 - tr * g.B2), (g.B1, g.A1 + tr * g.B1)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +300,23 @@ class FractionalSchwartz:
 
     @staticmethod
     def zeros(field, C: int, scale: FieldElement | int = 1, M: int | None = None):
-        s = scale if isinstance(scale, FieldElement) else field.elt(scale)
-        g = _IndexGrid(field, C)
         M = M or C
-        return FractionalSchwartz(field, s, C, np.zeros((g.n, M), dtype=np.int64), Fraction(1), M)
+        n = C ** (2 * field.degree)
+        if n * M > MAX_TABLE_ENTRIES:
+            raise SchwartzError(f"level table of {n} x {M} entries exceeds {MAX_TABLE_ENTRIES}")
+        s = scale if isinstance(scale, FieldElement) else field.elt(scale)
+        return FractionalSchwartz(field, s, C, np.zeros((n, M), dtype=np.int64), Fraction(1), M)
 
     @staticmethod
     def from_rational_table(field, C: int, table: dict, scale=1):
-        """table: {((a1,b1),(a2,b2)) or flat index: Fraction-like}."""
+        """table: {((a1,b1),(a2,b2)) or flat index: Fraction-like}; values of
+        keys that are equal mod C add up."""
         f = FractionalSchwartz.zeros(field, C, scale)
-        den = 1
         vals = {}
         for k, v in table.items():
             idx = k if isinstance(k, int) else f.grid.index_of(k)
-            v = Fraction(v)
-            vals[idx] = v
-            den = den * v.denominator // math.gcd(den, v.denominator)
+            vals[idx] = vals.get(idx, 0) + Fraction(v)
+        den = math.lcm(*(v.denominator for v in vals.values()))
         for idx, v in vals.items():
             f.coeffs[idx, 0] = int(v * den)
         f.prefactor = Fraction(1, den)
@@ -382,10 +368,10 @@ class FractionalSchwartz:
     def _embed_order(self, M: int) -> "FractionalSchwartz":
         if M == self.M:
             return self
-        k = M // self.M
-        coeffs = np.zeros((self.grid.n, M), dtype=np.int64)
-        coeffs[:, ::k] = self.coeffs
-        return FractionalSchwartz(self.field, self.scale, self.C, coeffs, self.prefactor, M)
+        out = FractionalSchwartz.zeros(self.field, self.C, self.scale, M)
+        out.coeffs[:, ::M // self.M] = self.coeffs
+        out.prefactor = self.prefactor
+        return out
 
     def refine(self, k: int) -> "FractionalSchwartz":
         """Present the same function at modulus k*C (table constant on cosets)."""
@@ -421,39 +407,80 @@ class FractionalSchwartz:
         return out
 
 
+def _dual_scale(field: NumberField, scale: FieldElement, C: int):
+    """(kappa, s') for the transform of a table at scale s and modulus C:
+    kappa = |N(s)|^-2 C^-2xi d_F^-1 is the volume of s*C*V(Zhat), and
+    s' = 1/(s*C*delta) the scale of the transform."""
+    ns = scale.norm()
+    kappa = Fraction(ns.denominator ** 2, ns.numerator ** 2) \
+        * Fraction(1, C ** (2 * field.degree) * field.discriminant)
+    return kappa, (scale * field.elt(C) * field.different_generator).inverse()
+
+
+@lru_cache(maxsize=None)
+def _shift_table(C: int, M: int) -> np.ndarray:
+    """S[x, j, k] = (j + (k x mod C) M/C) mod M: coefficient j of
+    zeta_C^(-k x) times a vector over Z[zeta_M] is the vector's coefficient
+    S[x, j, k]."""
+    x = np.arange(C).reshape(-1, 1, 1)
+    j = np.arange(M).reshape(1, -1, 1)
+    k = np.arange(C).reshape(1, 1, -1)
+    return (j + (k * x % C) * (M // C)) % M
+
+
 def fourier_transform(f: FractionalSchwartz) -> FractionalSchwartz:
     """Finite adelic Fourier transform; self-inverse on this family.
 
-    Output scale 1/(s*C*delta); same modulus; exact integer matmuls (values
-    stay below 2^53 by construction at desk scale, asserted).
+    Output scale 1/(s*C*delta); same modulus and root order M.  The table is
+    the plain DFT over (Z/C)^2xi, one axis at a time on the int64 coefficient
+    vectors, read at the dual index A y; every step is exact integer addition
+    (the entries are bounded up front so that no sum can overflow).
     """
     field = f.field
     C, M = f.C, f.M
-    Q = _pairing_exponent_matrix(field.degree, field.D, C)
-    step = M // C
     n = f.grid.n
-    bound = np.abs(f.coeffs).max(initial=0)
-    if bound * n >= 2 ** 52:
-        raise SchwartzError("transform coefficients too large for exact float matmul")
-    out = np.zeros((n, M), dtype=np.float64)
-    Tf = f.coeffs.astype(np.float64)
-    for c in range(C):
-        mask = (Q == c).astype(np.float64)
-        if not mask.any():
-            continue
-        # multiply by zeta^(-c): coefficient j of the result reads input j+c*step
-        rolled = np.roll(Tf, -c * step, axis=1)
-        out += mask @ rolled
-    outi = np.rint(out)
-    if not np.all(np.abs(out - outi) < 1e-6):
-        raise SchwartzError("exactness guard tripped in transform")
-    ns = f.scale.norm()
-    # kappa = |N(s)|^-2 C^-2xi d_F^-1, the volume of s*C*V(Zhat)
-    kappa = Fraction(ns.denominator ** 2, ns.numerator ** 2) \
-        * Fraction(1, C ** (2 * field.degree) * field.discriminant)
-    new_scale = (f.scale * field.elt(C) * field.different_generator).inverse()
-    return FractionalSchwartz(field, new_scale, C, outi.astype(np.int64),
-                              f.prefactor * kappa, M)
+    if int(np.abs(f.coeffs).max(initial=0)) * n >= 2 ** 63:
+        raise SchwartzError("transform coefficients too large for int64")
+    S = _shift_table(C, M)
+    # a[x, r, j]: x the leading axis, r the others; each pass replaces the
+    # leading axis by its frequency and rotates it to the back, so after 2xi
+    # passes the axes are back in order
+    a = f.coeffs.reshape(C, -1, M)
+    for _ in range(2 * f.grid.xi):
+        acc = a[0][:, S[0]]
+        for x in range(1, C):
+            acc += a[x][:, S[x]]
+        a = acc.transpose(0, 2, 1).reshape(C, -1, M)
+    coeffs = a.reshape(n, M)[_dual_index(field.degree, field.D, C)]
+    kappa, new_scale = _dual_scale(field, f.scale, C)
+    return FractionalSchwartz(field, new_scale, C, coeffs, f.prefactor * kappa, M)
+
+
+class ComplexSchwartz:
+    """Complex-valued level table with the same transform semantics.
+
+    Used on the preimage path where character values are genuinely complex;
+    carries a dense complex table plus the scale/modulus bookkeeping of the
+    exact model.
+    """
+
+    def __init__(self, field, scale, C, values: np.ndarray):
+        self.field = field
+        self.scale = scale
+        self.C = C
+        self.grid = _IndexGrid(field, C)
+        self.values = values
+
+
+def complex_fourier_transform(f: ComplexSchwartz) -> ComplexSchwartz:
+    """Transform of a dense complex table: the same DFT at the dual index as
+    the exact model, in floating point."""
+    field = f.field
+    C = f.C
+    F = np.fft.fftn(f.values.reshape((C,) * (2 * f.grid.xi))).ravel()
+    kappa, new_scale = _dual_scale(field, f.scale, C)
+    return ComplexSchwartz(field, new_scale, C,
+                           float(kappa) * F[_dual_index(field.degree, field.D, C)])
 
 
 def act_group(g, f: FractionalSchwartz, det_inverse: bool = False) -> FractionalSchwartz:

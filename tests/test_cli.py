@@ -123,6 +123,24 @@ def test_fourier_demo_roundtrip(capsys, tmp_path):
     assert fh.equals(fourier_transform(f))
 
 
+def test_fourier_demo_level_one_is_zero(capsys):
+    """At C = 1 the demo's two deltas sit at the same index and cancel: the
+    transform is the zero table, not that of a single delta."""
+    code, out = run_cli(["fourier", "--demo", "1"], capsys)
+    assert code == 0
+    from eisterm.schwartz import parse_schwartz
+
+    assert not parse_schwartz(payload_of(out)["transform"]).coeffs.any()
+
+
+def test_fourier_oversized_demo_is_refused(capsys):
+    """24^4 indices x 24 roots over Q(sqrt5) exceed the table bound: an error
+    record with exit 1, before the table is allocated."""
+    code, out = run_cli(["fourier", "--demo", "24", "--demo-D", "5"], capsys)
+    assert code == 1
+    assert "exceeds" in json.loads(out)["error"]
+
+
 def test_constant_term_demo(capsys):
     code, out = run_cli(["constant-term", "--D", "Q", "--N", "2", "--m", "0",
                          "--bound", "100000", "--quadrature"], capsys)

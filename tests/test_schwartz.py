@@ -8,12 +8,16 @@ import pytest
 
 from eisterm.field import construct_field
 from eisterm.schwartz import (
+    MAX_TABLE_ENTRIES,
     det_norm_factor,
+    ComplexSchwartz,
     CyclotomicValue,
     FractionalSchwartz,
     SchwartzError,
     TwistedSchwartz,
+    _IndexGrid,
     act_group,
+    complex_fourier_transform,
     fourier_transform,
     is_S0,
     parse_schwartz,
@@ -77,11 +81,12 @@ def test_cyclotomic_complex_eval():
 def test_trace_pairing_examples():
     e1 = (K5.one, K5.zero)
     e2 = (K5.zero, K5.one)
-    assert trace_pairing(e1, e2).value == 2  # Tr(1) = 2
-    assert trace_pairing(e1, e1).value == 0  # skew
+    assert trace_pairing(e1, e2) == 2  # Tr(1) = 2
+    assert isinstance(trace_pairing(e1, e2), Fraction)
+    assert trace_pairing(e1, e1) == 0  # skew
     x = (K5.omega, K5.zero)
     y = (K5.zero, K5.one)
-    assert trace_pairing(x, y).value == 1  # Tr(w) = 1
+    assert trace_pairing(x, y) == 1  # Tr(w) = 1
 
 
 def test_trace_pairing_bilinear_skew():
@@ -90,9 +95,9 @@ def test_trace_pairing_bilinear_skew():
         pts = [(K5.elt(rng.randint(-5, 5), rng.randint(-5, 5)),
                 K5.elt(rng.randint(-5, 5), rng.randint(-5, 5))) for _ in range(3)]
         x, y, z = pts
-        assert trace_pairing(x, y).value == -trace_pairing(y, x).value
+        assert trace_pairing(x, y) == -trace_pairing(y, x)
         xz = (x[0] + z[0], x[1] + z[1])
-        assert trace_pairing(xz, y).value == trace_pairing(x, y).value + trace_pairing(z, y).value
+        assert trace_pairing(xz, y) == trace_pairing(x, y) + trace_pairing(z, y)
 
 
 # -- Fourier transform -------------------------------------------------------
@@ -131,6 +136,100 @@ def test_transform_inversion_exact_random():
             fhh = fourier_transform(fourier_transform(f))
             assert fhh.scale == f.scale
             assert fhh.equals(f), (field, C)
+
+
+def _pairing_exponent_matrix(field, C):
+    """Q[y,u] = numerator mod C of the additive-character exponent <s'y, s u>:
+    det(y,u) mod C for Q, the omega-coefficient of det(y,u) mod C for
+    quadratic fields."""
+    g = _IndexGrid(field, C)
+    tr = int(field.w_trace)
+    A1y, B1y, A2y, B2y = (v.reshape(-1, 1) for v in (g.A1, g.B1, g.A2, g.B2))
+    A1u, B1u, A2u, B2u = (v.reshape(1, -1) for v in (g.A1, g.B1, g.A2, g.B2))
+    if field.degree == 1:
+        Q = A1y * A2u - A2y * A1u
+    else:
+        w_y1u2 = A1y * B2u + B1y * A2u + B1y * B2u * tr
+        w_y2u1 = A2y * B1u + B2y * A1u + B2y * B1u * tr
+        Q = w_y1u2 - w_y2u1
+    return np.mod(Q, C)
+
+
+def _dense_transform(f):
+    """Reference kernel: the character sum as one dense n x n matrix per
+    residue c of the exponent, (coeffs, prefactor, scale)."""
+    C, M = f.C, f.M
+    Q = _pairing_exponent_matrix(f.field, C)
+    out = np.zeros_like(f.coeffs)
+    for c in range(C):
+        # multiply by zeta_C^(-c): coefficient j of the result reads j + c*M/C
+        out += (Q == c).astype(np.int64) @ np.roll(f.coeffs, -c * (M // C), axis=1)
+    K, ns = f.field, f.scale.norm()
+    kappa = Fraction(ns.denominator ** 2, ns.numerator ** 2) \
+        * Fraction(1, C ** (2 * K.degree) * K.discriminant)
+    return out, f.prefactor * kappa, (f.scale * K.elt(C) * K.different_generator).inverse()
+
+
+_KERNEL_CASES = ([(None, C) for C in (1, 2, 3, 6, 12, 24)] + [(5, C) for C in range(1, 7)]
+                 + [(2, 4), (3, 4), (13, 3)])
+
+
+@pytest.mark.parametrize("D,C", _KERNEL_CASES)
+def test_transform_matches_dense_kernel(D, C):
+    """The separable transform gives the dense kernel's integer table exactly,
+    at root order M = C and M = 2C, and the complex transform its values."""
+    K = construct_field(D)
+    rng = random.Random(C * 97 + (D or 0))
+    n = C ** (2 * K.degree)
+    for k, scale in ((1, K.one), (2, K.elt(2) + K.omega)):
+        coeffs = np.array([[rng.randint(-9, 9) for _ in range(k * C)] for _ in range(n)],
+                          dtype=np.int64)
+        f = FractionalSchwartz(K, scale, C, coeffs, Fraction(3, 7), k * C)
+        fh = fourier_transform(f)
+        want, prefactor, new_scale = _dense_transform(f)
+        assert fh.coeffs.dtype == np.int64
+        assert np.array_equal(fh.coeffs, want)
+        assert fh.prefactor == prefactor and fh.scale == new_scale and fh.M == k * C
+        values = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)])
+        gh = complex_fourier_transform(ComplexSchwartz(K, scale, C, values))
+        W = np.exp(-2j * np.pi * _pairing_exponent_matrix(K, C) / C)
+        want_c = float(prefactor / f.prefactor) * (W @ values)
+        assert gh.scale == new_scale
+        assert np.abs(gh.values - want_c).max() <= 1e-12 * np.abs(want_c).max()
+
+
+def test_transform_inversion_quadratic_level_16():
+    """Double transform identity at Q(sqrt5), C = 16: n = 65,536 table
+    indices, where a dense pairing matrix would take 34 GB."""
+    f = rand_table(K5, 16, random.Random(16))
+    assert f.grid.n * f.M <= MAX_TABLE_ENTRIES
+    fhh = fourier_transform(fourier_transform(f))
+    assert fhh.scale == f.scale
+    assert fhh.equals(f)
+
+
+def test_rational_table_keys_equal_mod_C_add_up():
+    demo = {((1, 0), (0, 0)): 1, ((0, 0), (1, 0)): -1}
+    f = FractionalSchwartz.from_rational_table(Q, 1, demo)
+    assert not f.coeffs.any()
+    assert not fourier_transform(f).coeffs.any()
+    g = FractionalSchwartz.from_rational_table(
+        Q, 2, {((1, 0), (0, 0)): Fraction(1, 2), ((3, 0), (2, 0)): Fraction(1, 2)})
+    assert g.value_at(((1, 0), (0, 0))) == 1
+    h = FractionalSchwartz.from_rational_table(K5, 3, {((1, 2), (0, 0)): 2, ((4, -1), (3, 0)): 5})
+    assert h.value_at(((1, 2), (0, 0))) == 7
+    assert len(h.support_indices()) == 1
+
+
+def test_oversized_table_is_refused():
+    """n * M beyond MAX_TABLE_ENTRIES is refused before the table exists."""
+    assert 24 ** 4 * 24 > MAX_TABLE_ENTRIES >= 16 ** 4 * 16
+    with pytest.raises(SchwartzError):
+        FractionalSchwartz.zeros(K5, 24)
+    with pytest.raises(SchwartzError):
+        FractionalSchwartz.zeros(K5, 16, M=64)
+    with pytest.raises(SchwartzError):
+        parse_schwartz("schwartz v1 D=5 s=1:1:0:1 C=24 M=24 pref=1/1\n")
 
 
 def test_transform_translation_phase():
