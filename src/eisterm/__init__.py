@@ -10,10 +10,8 @@ from .field import (
     FieldElement,
     FractionalIdeal,
     NumberField,
-    UnitGroupData,
     construct_field,
     fundamental_unit,
-    ideal_norm,
     split_prime,
     totally_positive_unit,
     unit_subgroup_generator,
@@ -60,14 +58,12 @@ from .eisenstein import (
 )
 from .horospherical import (
     IndFunction,
-    TateFactorization,
     hecke_L_partial,
     horospherical_map,
     kernel_coefficient,
     lambda_constant,
     preimage,
     psi_project,
-    spherical_S,
     spherical_function,
 )
 

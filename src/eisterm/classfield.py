@@ -206,9 +206,6 @@ class FiniteAbelianGroup:
     def add(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((a + b) % m for a, b, m in zip(x, y, self.invariants))
 
-    def neg(self, x):
-        return tuple((-a) % m for a, m in zip(x, self.invariants))
-
     def zero(self):
         return tuple(0 for _ in self.invariants)
 
@@ -413,7 +410,21 @@ class RayClassGroup:
             residue = self.ring.mul(residue, self.ring.inv(self.ring.reduce(g)))
             gsigns = self._signs_of(g)
             signs = tuple(s * t for s, t in zip(signs, gsigns))
-        return self._rep_map[(residue, signs)]
+        return self.class_of_residue(residue, signs)
+
+    def class_of_residue(self, residue, signs=None) -> tuple[int, ...]:
+        """Class of the idele with trivial ideal part, unit residue mod N and
+        the given signs at the real places (all positive by default)."""
+        if signs is None:
+            signs = (1,) * self.sign_count
+        return self._rep_map[(residue, tuple(signs))]
+
+    def representatives(self) -> list:
+        """One (residue, signs) pair per ray class, in coordinate order."""
+        reps = {}
+        for key, coords in self._rep_map.items():
+            reps.setdefault(coords, key)
+        return [reps[c] for c in sorted(reps)]
 
     def _signs_of(self, x: FieldElement):
         if self.field.degree == 1:
@@ -425,13 +436,11 @@ class RayClassGroup:
         res = self.ring.reduce(x)
         if not self.ring.is_unit(res):
             raise ClassGroupError("element not coprime to N")
-        return self._rep_map[(res, self._signs_of(x))]
+        return self.class_of_residue(res, self._signs_of(x))
 
     def class_of_ideal(self, ideal: FractionalIdeal) -> tuple[int, ...]:
         """Ray class of an ideal coprime to N: the class of the triple (ideal, 1, +)."""
-        one = self.ring.one
-        plus = tuple([1] * self.sign_count)
-        return self.coords_of_triple(ideal, one, plus)
+        return self.coords_of_triple(ideal, self.ring.one, (1,) * self.sign_count)
 
     def serialize(self) -> dict:
         return {
@@ -504,7 +513,7 @@ def characters_with_sign(rc: RayClassGroup, m: int) -> list[GroupCharacter]:
     flips = []
     for i in range(xi):
         s = tuple(-1 if j == i else 1 for j in range(xi))
-        flips.append(rc._rep_map[(rc.ring.one, s)])
+        flips.append(rc.class_of_residue(rc.ring.one, s))
     target = Fraction(m, 2) % 1
     return [
         chi for chi in all_characters(rc.group)

@@ -341,8 +341,7 @@ def _unit_invariance_check(fh: FractionalSchwartz, N: int) -> None:
 
 
 def constant_term(phi, m: int, torus: TorusData | None = None,
-                  B: float = 1e4, precision: int = 128,
-                  unit_level: int | None = None) -> LatticeSumResult:
+                  B: float = 1e4, precision: int = 128) -> LatticeSumResult:
     """Constant term of the weight-(m+2) Eisenstein class at the identity cusp.
 
     phi: TwistedSchwartz (or bare FractionalSchwartz) with the trace-zero
@@ -358,7 +357,6 @@ def constant_term(phi, m: int, torus: TorusData | None = None,
         raise PreconditionError("the lattice bound B must be positive")
     field = f.field
     k = m + 2
-    N = unit_level if unit_level is not None else f.C
     torus = torus or TorusData.identity(field)
     fh = fourier_transform(f)
     sprime = fh.scale
@@ -388,8 +386,8 @@ def constant_term(phi, m: int, torus: TorusData | None = None,
         count = fh.C * 4
         return LatticeSumResult(value, float(B), tail, count, precision)
     # xi = 2
-    _unit_invariance_check(fh, N)
-    Zt, count, tail0 = rank2_class_sums(field.D, N, fh.C, k, int(B))
+    _unit_invariance_check(fh, f.C)
+    Zt, count, tail0 = rank2_class_sums(field.D, f.C, fh.C, k, int(B))
     Z = np.array(Zt)
     acc = complex(np.dot(line, Z))
     nsp = sprime.norm()
@@ -595,7 +593,7 @@ def eisenstein_value(phi, chi, m: int, s: float, point, B: int = 40,
 
 
 def constant_term_quadrature(phi, m: int, fiber=(1.0, 1.0), Q: int = 64,
-                             B: int = 4000, precision: int = 53) -> complex:
+                             B: int = 4000) -> complex:
     """Trapezoidal x-average over one period of the boundary-weight Eisenstein
     series (termwise phase z^(m+2)/|z|^(2(m+2)), the zero Fourier coefficient
     of the restricted class); converges to constant_term as Q grows.

@@ -148,9 +148,6 @@ class FieldElement:
 
     # -- order and embeddings ----------------------------------------------
 
-    def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
-
     def sqrtD_coords(self) -> tuple[Fraction, Fraction]:
         """Coordinates (x, y) with self = x + y*sqrt(D)."""
         K = self.field
@@ -185,13 +182,6 @@ class FieldElement:
         if self.field.degree == 1:
             return self.a > 0
         return self.sign_embedding(0) > 0 and self.sign_embedding(1) > 0
-
-    def compare_abs_embeddings(self) -> int:
-        """Exact sign of |sigma_1(self)| - |sigma_2(self)|."""
-        # |x + y sqrt(D)| vs |x - y sqrt(D)|: difference of squares is 4xy sqrt(D)
-        x, y = self.sqrtD_coords()
-        s = x * y
-        return (s > 0) - (s < 0)
 
     def embed(self, prec: int = 128):
         """(sigma_1, sigma_2) as mpmath floats at `prec` bits, plus error bound."""
@@ -334,27 +324,6 @@ def totally_positive_unit(field: NumberField) -> FieldElement:
     """eps_+ : generator of the totally positive units modulo torsion."""
     eps, nsign = fundamental_unit(field)
     return eps * eps if nsign < 0 else eps
-
-
-class UnitGroupData:
-    """Bundled unit data: fundamental unit, its norm sign, the totally
-    positive fundamental unit, and level generators eps_N = eps_+^k."""
-
-    def __init__(self, field: NumberField):
-        self.field = field
-        if field.degree == 1:
-            self.fundamental = field.one
-            self.norm_sign = 1
-            self.totally_positive = field.one
-        else:
-            self.fundamental, self.norm_sign = fundamental_unit(field)
-            self.totally_positive = totally_positive_unit(field)
-        self._levels: dict[int, tuple[FieldElement, int]] = {}
-
-    def level_generator(self, N: int) -> tuple[FieldElement, int]:
-        if N not in self._levels:
-            self._levels[N] = unit_subgroup_generator(self.field, N)
-        return self._levels[N]
 
 
 def unit_subgroup_generator(field: NumberField, N: int) -> tuple[FieldElement, int]:
@@ -573,11 +542,6 @@ def _hnf_2xk(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
     if a == 0:
         raise FieldError("degenerate module (rank < 2)")
     return (a, b % a, d)
-
-
-def ideal_norm(ideal: FractionalIdeal) -> Fraction:
-    """|O / a| for integral a, extended multiplicatively."""
-    return ideal.norm()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ per-class norm-power sums serves every group translate.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,17 +56,17 @@ class ResourceError(HorosphericalError):
 class MatrixGroup:
     """GL2(O/N) with its SL2 subgroup, enumerated at desk scale."""
 
-    SL2_BUDGET = 200_000
+    SL2_BUDGET = 200_000  # matrices scanned: |O/N|^4 = N^(4 degree)
 
     def __init__(self, field: NumberField, N: int):
         self.field = field
         self.N = N
         self.ring = ResidueRing(field, N)
-        xi = 1 if field.degree == 1 else 2
-        if (xi == 2 and N > 4) or (xi == 1 and N > 12):
-            order_bound = (N ** (2 * xi)) ** 2
+        scanned = N ** (4 * field.degree)
+        if scanned > self.SL2_BUDGET:
             raise ResourceError(
-                f"SL2(O/{N}) enumeration beyond the desk budget (|O/N|^4 = {order_bound})"
+                f"SL2(O/{N}) enumeration beyond the desk budget "
+                f"(|O/N|^4 = {scanned} > {self.SL2_BUDGET})"
             )
         self._enumerate()
 
@@ -177,21 +176,8 @@ class IndFunction:
         self.data = data
         self.table = table
 
-    @property
-    def level(self):
-        return self.group.N
-
     def value(self, mat) -> complex:
         return self.table[mat]
-
-    def borel_factor(self, t1, t2) -> complex:
-        """eta(t1 t2) chi'(t2) at unit residues with positive signs."""
-        rc = self.data.rc
-        plus = tuple([1] * rc.sign_count)
-        c1 = rc._rep_map[(t1, plus)]
-        c2 = rc._rep_map[(t2, plus)]
-        q = self.data.phi_tilde_exponent(c1, c2)
-        return cmath.exp(2j * cmath.pi * float(q))
 
     def check_law(self, samples: int = 50, seed: int = 0) -> bool:
         import random
@@ -207,10 +193,16 @@ class IndFunction:
             b = (t1, ring.mul(t1, u), (0, 0), t2)
             xb = self.group.mul(x, b)
             lhs = self.table[xb]
-            rhs = self.table[x] * self.borel_factor(t1, t2)
+            rhs = self.table[x] * _borel_factor(self.data, t1, t2)
             if abs(lhs - rhs) > 1e-9 * (1 + abs(lhs)):
                 return False
         return True
+
+
+def _borel_factor(data: HeckeCharacterData, t1, t2) -> complex:
+    """phi~_f(t1, t2) = eta(t1 t2) chi'(t2) at unit residues with positive signs."""
+    rc = data.rc
+    return data.phi_tilde_value(rc.class_of_residue(t1), rc.class_of_residue(t2))
 
 
 def spherical_function(group: MatrixGroup, data: HeckeCharacterData) -> IndFunction:
@@ -222,7 +214,7 @@ def spherical_function(group: MatrixGroup, data: HeckeCharacterData) -> IndFunct
     for mat in group.gl2:
         det = group.det(mat)
         # mat = x * diag(1, det) with x in SL2: S = eta(det) chi'(det)
-        table[mat] = IndFunction(group, data, {}).borel_factor(ring.one, det)
+        table[mat] = _borel_factor(data, ring.one, det)
     return IndFunction(group, data, table)
 
 
@@ -238,7 +230,6 @@ def induced_from_coset_values(group: MatrixGroup, data: HeckeCharacterData,
     if len(coset_values) != len(keys):
         raise HorosphericalError(f"need {len(keys)} coset values")
     table = {}
-    proto = IndFunction(group, data, {})
     for key, val in zip(keys, coset_values):
         rep = min(cosets[key])
         rep_inv = group.inv(rep)
@@ -247,7 +238,7 @@ def induced_from_coset_values(group: MatrixGroup, data: HeckeCharacterData,
             if b[2] != (0, 0):
                 raise HorosphericalError("coset decomposition failed")
             t1, t2 = b[0], b[3]
-            table[mat] = val * proto.borel_factor(t1, t2)
+            table[mat] = val * _borel_factor(data, t1, t2)
     return IndFunction(group, data, table)
 
 
@@ -267,17 +258,6 @@ def coset_count(group: MatrixGroup) -> int:
     return len(_borel_cosets(group))
 
 
-def spherical_S(data: HeckeCharacterData, torus_t1, torus_t2,
-                t2_norm_f=Fraction(1), t2_sign: int = 1) -> complex:
-    """S(phi) at g = k * b with k in SL2(Ohat) and b the torus data: the value
-    phi~_f(t1, t2), independent of the SL2 part."""
-    rc = data.rc
-    plus = tuple([1] * rc.sign_count)
-    c1 = rc._rep_map[(torus_t1, plus)]
-    c2 = rc._rep_map[(torus_t2, plus)]
-    return data.phi_tilde_value(c1, c2, t2_norm_f, t2_sign)
-
-
 def psi_project(psi: IndFunction):
     """Averaging projector onto the spherical line: the exact mean of the
     table over SL2(O/N); idempotent on spherical inputs."""
@@ -294,24 +274,10 @@ def psi_project(psi: IndFunction):
 # Euler products
 
 
-@dataclass
-class TateFactorization:
-    """(1/sqrt(d_F)) * unramified Euler product at s."""
-
-    constant: float
-    euler_value: complex
-    tail_bound: float
-    prime_bound: int
-
-    @property
-    def value(self) -> complex:
-        return self.constant * self.euler_value
-
-
 def hecke_L_partial(field: NumberField, rc: RayClassGroup, chi: GroupCharacter,
-                    s: float, P: int = 10_000) -> TateFactorization:
+                    s: float, P: int = 10_000) -> complex:
     """(1/sqrt d_F) prod over prime ideals of norm <= P, coprime to the level,
-    of (1 - chi(p) Np^-s)^-1, with a crude positive tail bound."""
+    of (1 - chi(p) Np^-s)^-1."""
     if s <= 1:
         raise PreconditionError("Euler product needs s > 1")
     prod = complex(1.0)
@@ -321,9 +287,7 @@ def hecke_L_partial(field: NumberField, rc: RayClassGroup, chi: GroupCharacter,
             continue
         chi_val = chi.value(rc.class_of_ideal(ideal))
         prod *= 1.0 / (1.0 - chi_val * np_ ** (-s))
-    # tail: log prod over Np > P bounded by sum 2 Np^-s <= 2 * integral
-    tail = 2.0 * 2.0 * P ** (1 - s) / (s - 1) / math.log(max(P, 2))
-    return TateFactorization(1.0 / math.sqrt(field.discriminant), prod, tail, P)
+    return 1.0 / math.sqrt(field.discriminant) * prod
 
 
 def lambda_constant(rc: RayClassGroup, chi_prime: GroupCharacter, m: int,
@@ -334,7 +298,7 @@ def lambda_constant(rc: RayClassGroup, chi_prime: GroupCharacter, m: int,
     k = m + 2
     tate = hecke_L_partial(field, rc, chi_prime, float(k), P)
     pref = rc.order * math.gamma(k) ** xi / ((-2j * math.pi) ** (xi * k))
-    return pref * tate.value
+    return pref * tate
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +315,18 @@ def _unfold_constant(field: NumberField, rc: RayClassGroup, m: int) -> complex:
                * math.sqrt(field.discriminant) * phiN))
 
 
-def _line_sums(field: NumberField, N: int, C: int, k: int, B, precision: int):
-    """Z[lam] = sum over orbit reps of the lam-class of N(w)^-k (w-lattice)."""
+def _line_sums(field: NumberField, N: int, C: int, k: int, B):
+    """Z[lam] = sum over orbit reps of the lam-class of N(w)^-k (w-lattice);
+    rank 1 at 64 bits, rank 2 in float64."""
     if field.degree == 1:
-        Z = rank1_class_sums(C, k, min(precision, 64))
+        Z = rank1_class_sums(C, k, 64)
         return np.array([complex(z) for z in Z])
     Zt, _, _ = rank2_class_sums(field.D, N, C, k, int(B))
     return np.array(Zt, dtype=np.complex128)
 
 
 def _rho(tbl: np.ndarray, scale, C: int, eta, m: int, rc: RayClassGroup, mats,
-         B, precision: int) -> list[complex]:
+         B) -> list[complex]:
     """rho at the matrices mats, from the dense complex table tbl of fhat
     (scale s', modulus C); eta, when given, twists by eta(det g)."""
     field = scale.field
@@ -369,7 +334,7 @@ def _rho(tbl: np.ndarray, scale, C: int, eta, m: int, rc: RayClassGroup, mats,
         raise HorosphericalError("level of phi incompatible with the group level")
     k = m + 2
     group = matrix_group(field.degree, field.D, rc.N)
-    Z = _line_sums(field, rc.N, C, k, B, precision)
+    Z = _line_sums(field, rc.N, C, k, B)
     cN = _unfold_constant(field, rc, m)
     sprime_nk = float(scale.norm()) ** k if field.degree == 2 else float(scale.a) ** k
     grid = _IndexGrid(field, C)
@@ -382,14 +347,11 @@ def _rho(tbl: np.ndarray, scale, C: int, eta, m: int, rc: RayClassGroup, mats,
     idx = grid.index_of(tuple(ring.mul(lam, (w0[:, i, 0], w0[:, i, 1])) for i in range(2)))
     vals = cN * (tbl[idx] @ Z) / sprime_nk
     if eta is not None:
-        plus = tuple([1] * rc.sign_count)
-        classes = [rc._rep_map[(group.det(mat), plus)] for mat in mats]
-        vals *= [cmath.exp(2j * cmath.pi * float(eta.exponent_at(c))) for c in classes]
+        vals *= [eta.value(rc.class_of_residue(group.det(mat))) for mat in mats]
     return [complex(v) for v in vals]
 
 
-def horospherical_map(phi, m: int, rc: RayClassGroup, mats, B=2e4,
-                      precision: int = 64) -> list[complex]:
+def horospherical_map(phi, m: int, rc: RayClassGroup, mats, B=2e4) -> list[complex]:
     """rho(phi) sampled at integral matrix representatives (mod N).
 
     phi: TwistedSchwartz or FractionalSchwartz with the trace-zero property.
@@ -400,29 +362,19 @@ def horospherical_map(phi, m: int, rc: RayClassGroup, mats, B=2e4,
     if not is_S0(f):
         raise PreconditionError("the horospherical map is defined on S^0")
     fh = fourier_transform(f)
-    return _rho(fh.complex_table(), fh.scale, fh.C, eta, m, rc, mats, B, precision)
+    return _rho(fh.complex_table(), fh.scale, fh.C, eta, m, rc, mats, B)
 
 
-def kernel_coefficient(phi, m: int, rc: RayClassGroup, B=2e4,
-                       precision: int = 64) -> complex:
+def kernel_coefficient(phi, m: int, rc: RayClassGroup, B=2e4) -> complex:
     """Average of rho(phi) over SL2(O/N): the spherical projector coefficient
     of the image (zero on the image of the trace-zero space)."""
     group = matrix_group(rc.field.degree, rc.field.D, rc.N)
-    vals = horospherical_map(phi, m, rc, group.sl2, B, precision)
+    vals = horospherical_map(phi, m, rc, group.sl2, B)
     return complex(sum(vals) / len(vals))
 
 
 # ---------------------------------------------------------------------------
 # the constructive preimage
-
-
-def _class_representatives(rc: RayClassGroup):
-    """One (residue, signs) representative per ray class (trivial ideal part)."""
-    reps = {}
-    for key, coords in rc._rep_map.items():
-        if coords not in reps:
-            reps[coords] = key
-    return [reps[c] for c in sorted(reps)]
 
 
 def s_psi_bar(psi: IndFunction) -> ComplexSchwartz:
@@ -431,24 +383,18 @@ def s_psi_bar(psi: IndFunction) -> ComplexSchwartz:
     group = psi.group
     field = group.field
     N = group.N
-    data = psi.data
-    rc = data.rc
-    plus = tuple([1] * rc.sign_count)
+    one = group.ring.one
     grid = _IndexGrid(field, N)
     values = np.zeros(grid.n, dtype=np.complex128)
     for v in group.primitive_vectors():
         x = group.completion_matrix(v)
-        det = group.det(x)
-        dcls = rc._rep_map[(det, plus)]
-        # psibar(x) = eta(det x)^-1 chi'(det x)^-1 psi(x)
-        q = (data.eta.exponent_at(dcls) + data.chi_prime.exponent_at(dcls)) % 1
-        val = psi.value(x) * cmath.exp(-2j * cmath.pi * float(q))
-        values[grid.index_of(v)] = val
+        # psibar(x) = eta(det x)^-1 chi'(det x)^-1 psi(x) = psi(x) conj phi~_f(1, det x)
+        twist = _borel_factor(psi.data, one, group.det(x)).conjugate()
+        values[grid.index_of(v)] = psi.value(x) * twist
     return ComplexSchwartz(field, field.one, N, values)
 
 
-def preimage(psi: IndFunction, lam_P: int = 200_000, B=2e4,
-             precision: int = 64):
+def preimage(psi: IndFunction, lam_P: int = 200_000):
     """A Schwartz-Bruhat preimage of psi under the horospherical map:
     built from its Fourier transform Lambda^-1 sum_u chi'(u) s_psibar(u v),
     u over ray class representatives.  If psi is in the kernel of the
@@ -463,11 +409,9 @@ def preimage(psi: IndFunction, lam_P: int = 200_000, B=2e4,
     base = s_psi_bar(psi)
     grid = base.grid
     total = np.zeros(grid.n, dtype=np.complex128)
-    plus = tuple([1] * rc.sign_count)
-    for (residue, signs) in _class_representatives(rc):
+    for (residue, signs) in rc.representatives():
         # chi'_f sees only the finite part of the representative idele
-        fin_coords = rc._rep_map[(residue, plus)]
-        chi_val = cmath.exp(2j * cmath.pi * float(data.chi_prime.exponent_at(fin_coords)))
+        chi_val = data.chi_prime.value(rc.class_of_residue(residue))
         # scale the argument: s_psibar(u v) with u acting by its residue
         perm = grid.image_indices((residue, (0, 0), (0, 0), residue))
         total += chi_val * base.values[perm]
@@ -492,10 +436,10 @@ class PreimageFunction:
 
 
 def horospherical_map_complex(phi: PreimageFunction, m: int, rc: RayClassGroup, mats,
-                              B=2e4, precision: int = 64) -> list[complex]:
+                              B=2e4) -> list[complex]:
     """rho on the complex-table family (the preimage path)."""
     fhat = phi.transform
-    return _rho(fhat.values, fhat.scale, fhat.C, phi.data.eta, m, rc, mats, B, precision)
+    return _rho(fhat.values, fhat.scale, fhat.C, phi.data.eta, m, rc, mats, B)
 
 
 # ---------------------------------------------------------------------------

@@ -578,24 +578,42 @@ def serialize_schwartz(f: FractionalSchwartz) -> str:
 
 
 def parse_schwartz(text: str) -> FractionalSchwartz:
+    """Read the serialize_schwartz format; a malformed table raises SchwartzError."""
     from .field import construct_field
 
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "schwartz" or head[1] != "v1":
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not rows or rows[0][:2] != ["schwartz", "v1"]:
         raise SchwartzError("bad serialization header")
-    kv = dict(part.split("=", 1) for part in head[2:])
-    field = construct_field(None if kv["D"] == "Q" else int(kv["D"]))
-    an, ad, bn, bd = (int(t) for t in kv["s"].split(":"))
-    scale = field.elt(Fraction(an, ad), Fraction(bn, bd))
-    C, M = int(kv["C"]), int(kv["M"])
-    pn, pd = kv["pref"].split("/")
-    f = FractionalSchwartz.zeros(field, C, scale, M)
-    f.prefactor = Fraction(int(pn), int(pd))
-    for ln in lines[1:]:
-        parts = ln.split()
-        idx = int(parts[0])
-        for ent in parts[1:]:
-            j, c = ent.split(":")
-            f.coeffs[idx, int(j)] = int(c)
+    try:
+        kv = dict(part.split("=", 1) for part in rows[0][2:])
+        D = None if kv["D"] == "Q" else int(kv["D"])
+        an, ad, bn, bd = (int(t) for t in kv["s"].split(":"))
+        sa, sb = Fraction(an, ad), Fraction(bn, bd)
+        C, M = int(kv["C"]), int(kv["M"])
+        pn, pd = kv["pref"].split("/")
+        prefactor = Fraction(int(pn), int(pd))
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise SchwartzError(f"bad serialization header ({type(exc).__name__}: {exc})") from None
+    if M < 1:
+        raise SchwartzError("root order M must be positive")
+    field = construct_field(D)
+    f = FractionalSchwartz.zeros(field, C, field.elt(sa, sb), M)
+    f.prefactor = prefactor
+    for row in rows[1:]:
+        idx = _table_int(row[0], 0, f.grid.n, "row index")
+        for ent in row[1:]:
+            j, _, c = ent.partition(":")
+            f.coeffs[idx, _table_int(j, 0, M, "root exponent")] = _table_int(
+                c, -2 ** 63, 2 ** 63, "coefficient")
     return f
+
+
+def _table_int(token: str, lo: int, hi: int, what: str) -> int:
+    """int(token), required to lie in [lo, hi)."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise SchwartzError(f"{what} {token!r} is not an integer") from None
+    if not lo <= value < hi:
+        raise SchwartzError(f"{what} {value} outside [{lo}, {hi})")
+    return value

@@ -173,7 +173,7 @@ def test_sign_partition():
             assert even | odd == allc
         else:
             # classify by the value pattern on the two place flips
-            flips = [rc._rep_map[(rc.ring.one, s)] for s in ((-1, 1), (1, -1))]
+            flips = [rc.class_of_residue(rc.ring.one, s) for s in ((-1, 1), (1, -1))]
             buckets = {}
             for chi in allc:
                 key = tuple(chi.exponent_at(f) for f in flips)
@@ -239,3 +239,21 @@ def test_coords_of_triple_with_principal_ideal_part():
     c1 = rc.coords_of_triple(None, r, plus)
     c2 = rc.coords_of_triple(ideal, r, plus)
     assert c2 == rc.group.add(via_triple, c1)
+
+
+@pytest.mark.parametrize("D,N", [(None, 8), (5, 3), (2, 4)])
+def test_class_of_residue_and_representatives(D, N):
+    """One representative per class, in coordinate order, and class_of_residue
+    agrees with the triple and element lookups it serves."""
+    K = construct_field(D)
+    rc = ray_class_group(K, N)
+    reps = rc.representatives()
+    assert [rc.class_of_residue(u, s) for u, s in reps] == rc.group.all_coords()
+    plus = (1,) * rc.sign_count
+    for u in rc.ring.units():
+        assert rc.class_of_residue(u) == rc.class_of_residue(u, plus)
+        assert rc.class_of_residue(u) == rc.coords_of_triple(None, u, plus)
+    for a in range(1, 30):
+        if math.gcd(a, N) == 1:
+            x = K.elt(a)
+            assert rc.class_of_element(x) == rc.class_of_residue(rc.ring.reduce(x))

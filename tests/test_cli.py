@@ -141,6 +141,31 @@ def test_fourier_oversized_demo_is_refused(capsys):
     assert "exceeds" in json.loads(out)["error"]
 
 
+GOOD_HEADER = "schwartz v1 D=Q s=1:1:0:1 C=2 M=2 pref=1/1\n"
+IN_COMMANDS = [["fourier"], ["eisenstein", "--D", "Q"], ["constant-term", "--D", "Q"],
+               ["certify", "--D", "Q"]]
+
+
+@pytest.mark.parametrize("text", [
+    "schwartz v1 D=Q C=2 M=2 pref=1/1\n1 0:1\n",  # header without s=
+    GOOD_HEADER + "4 0:1\n",  # row index n (n = 4 at C = 2)
+    GOOD_HEADER + "1 2:1\n",  # root exponent M
+    "",  # empty input
+    GOOD_HEADER + "-1 0:1\n",  # negative row index, which numpy would wrap
+], ids=["no-scale", "row-index-n", "root-exponent-M", "empty", "row-index-minus-one"])
+def test_malformed_table_is_an_error(text, capsys, tmp_path):
+    """A malformed serialized table is a JSON error record with exit 1 for
+    every command that reads one."""
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    for command in IN_COMMANDS:
+        code = run_command(command + ["--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1, command
+        assert "error" in json.loads(captured.out), command
+        assert "Traceback" not in captured.err
+
+
 def test_constant_term_demo(capsys):
     code, out = run_cli(["constant-term", "--D", "Q", "--N", "2", "--m", "0",
                          "--bound", "100000", "--quadrature"], capsys)

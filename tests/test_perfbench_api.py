@@ -4,6 +4,8 @@ change fails here instead of in a benchmark run.  perfbench is only read."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,3 +54,65 @@ def test_span_targets_exist():
         if obj is None:
             missing.append(f"{mod}.{attr}")
     assert not missing
+
+
+def _eisterm_callables():
+    """Local name -> eisterm object for every name workloads.py imports."""
+    names = {}
+    for node in ast.walk(_tree("workloads.py")):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "eisterm":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(module, alias.name)
+                assert names.setdefault(alias.asname or alias.name, obj) is obj
+    return names
+
+
+def test_workload_calls_match_signatures():
+    """Every call in workloads.py to an eisterm callable (or to a method of an
+    eisterm class, such as FractionalSchwartz.zeros) binds to its signature:
+    no keyword it passes may be missing, and no positional argument extra."""
+    names = _eisterm_callables()
+    checked = []
+    for node in ast.walk(_tree("workloads.py")):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            target, label = names[func.id], func.id
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and isinstance(names.get(func.value.id), type)):
+            target, label = getattr(names[func.value.id], func.attr), ast.unparse(func)
+        else:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                kw.arg is None for kw in node.keywords):
+            continue
+        try:
+            inspect.signature(target).bind(*node.args, **{kw.arg: kw for kw in node.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"perfbench/workloads.py:{node.lineno} {label}: {exc}")
+        checked.append(label)
+    assert {"constant_term", "lambda_constant", "preimage", "kernel_coefficient",
+            "horospherical_map_complex"} <= set(checked)
+
+
+def test_workload_kernel_psi_projects_to_zero():
+    """perfbench builds its kernel functions through IndFunction's dict table
+    and psi_project's (coeff, data) shape; its own _kernel_psi must still give
+    a function with zero projector coefficient."""
+    import random
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    from eisterm.classfield import ray_class_group
+    from eisterm.field import construct_field
+    from eisterm.horospherical import matrix_group, psi_project
+
+    rc = ray_class_group(construct_field(None), 3)
+    psi = workloads._kernel_psi(rc, matrix_group(1, 1, 3), random.Random(1))
+    coeff, data = psi_project(psi)
+    assert abs(coeff) < 1e-12
+    assert data is psi.data
