@@ -382,11 +382,10 @@ def _form_to_ideal(field: NumberField, form) -> FractionalIdeal:
 class RayClassGroup:
     """Cl_F^(N) with idele-triple representatives (ideal, residue unit, signs)."""
 
-    def __init__(self, field, N, group, rep_map, ring, sign_count):
+    def __init__(self, field, N, group, ring, sign_count):
         self.field = field
         self.N = N
         self.group = group
-        self._rep_map = rep_map
         self.ring = ring
         self.sign_count = sign_count
 
@@ -417,12 +416,12 @@ class RayClassGroup:
         the given signs at the real places (all positive by default)."""
         if signs is None:
             signs = (1,) * self.sign_count
-        return self._rep_map[(residue, tuple(signs))]
+        return self.group.dlog[(residue, tuple(signs))]
 
     def representatives(self) -> list:
         """One (residue, signs) pair per ray class, in coordinate order."""
         reps = {}
-        for key, coords in self._rep_map.items():
+        for key, coords in self.group.dlog.items():
             reps.setdefault(coords, key)
         return [reps[c] for c in sorted(reps)]
 
@@ -499,8 +498,7 @@ def ray_class_group(field: NumberField, N: int) -> RayClassGroup:
     factors, qgen_labels, dlog = abelian_structure(labels, qop, coset_of[identity])
     group = FiniteAbelianGroup(factors, [reps[l] for l in qgen_labels],
                                {e: dlog[coset_of[e]] for e in elements})
-    rep_map = dict(group.dlog)
-    rc = RayClassGroup(field, N, group, rep_map, ring, xi)
+    rc = RayClassGroup(field, N, group, ring, xi)
     rc.generator_triples = [
         (FractionalIdeal.unit_ideal(field), reps[l][0], reps[l][1]) for l in qgen_labels
     ]

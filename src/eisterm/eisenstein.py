@@ -36,8 +36,9 @@ class PreconditionError(EisensteinError):
     pass
 
 
-# eisenstein_value refuses a box of more lattice points than this, before it
-# allocates: at xi = 2 it holds several complex arrays of that size
+# eisenstein_value refuses a box of more lattice points than this, and
+# _slab_coordinates a slab of more rows, before they allocate: at xi = 2 the
+# box holds several complex arrays of that size
 MAX_BOX_POINTS = 4_000_000
 
 
@@ -113,28 +114,24 @@ def enumerate_orbit_reps(field: NumberField, N: int, B):
     return [field.elt(a, b) for a, b in zip(aa.tolist(), bb.tolist())]
 
 
-def _slab_coordinates(field: NumberField, eps: FieldElement, B: float):
-    """Integer coordinates (a, b) of slab points with 0 < |N| <= B, all
-    conditions decided in exact integer arithmetic, deterministic order.
+def _slab_filter(field: NumberField, eps: FieldElement, B: float):
+    """The exact slab predicate on int64 coordinate arrays (a, b) of
+    l = a + b*omega: 0 < |N(l)| <= int(B) and l in the half-open slab of eps.
 
-    Slab membership: with (u, v) = scaled sqrt(D)-coordinates (u = 2x, v = 2y
-    for l = x + y sqrt(D)),  |s1| >= |s2|  iff  u*v >= 0, and the strict upper
+    With (u, v) the scaled sqrt(D)-coordinates (u = 2x, v = 2y for
+    l = x + y sqrt(D)),  |s1| >= |s2|  iff  u*v >= 0, and the strict upper
     edge |s1(l)| < s1(eps)^2 |s2(l)| is |s1(l/eps)| < |s2(l/eps)|, i.e.
     u'*v' < 0 on the coordinates of l*eps^-1 (an integral element).
     """
-    e1 = eps.embed_float()[0]
-    w1, w2 = field.omega.embed_float()
     tr, nm = int(field.w_trace), int(field.w_norm)
     inv = eps.inverse()
     ia, ib = int(inv.a), int(inv.b)  # multiplication-by-eps^-1 on (1, w)
     half = field.D % 4 == 1
-    bmax = int(2 * (e1 + 1) * math.sqrt(B) / abs(w1 - w2)) + 2
-    out_a = []
-    out_b = []
+    Bint = int(B)
 
     def exact_filter(a, bb):
         nrm = a * a + a * bb * tr + bb * bb * nm
-        ok = (np.abs(nrm) <= int(B)) & (nrm != 0)
+        ok = (np.abs(nrm) <= Bint) & (nrm != 0)
         if half:
             u, v = 2 * a + bb, bb
         else:
@@ -149,70 +146,55 @@ def _slab_coordinates(field: NumberField, eps: FieldElement, B: float):
         ok &= (up * vp) < 0
         return ok
 
-    def constraints_at(x, b):
-        n = x * x + x * b * tr + b * b * nm
-        if abs(n) > B or n == 0:
-            return False
-        u = (2 * x + b) if half else x
-        if u * b < 0:
-            return False
-        apf = ia * x - ib * nm * b
-        bpf = ib * x + (ia + ib * tr) * b
-        upf = (2 * apf + bpf) if half else apf
-        return upf * bpf < 0
+    return exact_filter
 
-    for b in range(-bmax, bmax + 1):
-        # breakpoints of all boundary equations in a (floats)
-        pts = []
-        disc1 = b * b * tr * tr - 4 * (b * b * nm - B)
-        if disc1 >= 0:
-            pts += [(-b * tr - math.sqrt(disc1)) / 2, (-b * tr + math.sqrt(disc1)) / 2]
-        disc2 = b * b * tr * tr - 4 * (b * b * nm + B)
-        if disc2 >= 0:
-            pts += [(-b * tr - math.sqrt(disc2)) / 2, (-b * tr + math.sqrt(disc2)) / 2]
-        pts.append(-b / 2 if half else 0.0)
-        if ib != 0:
-            pts.append(-(ia + ib * tr) * b / ib)  # b' = 0
-        # root of u' = 0: u' = (2ia+ib) a + b(-2 ib nm + ia + ib tr) in the
-        # half-discriminant case, ia*a - ib*nm*b otherwise
-        denom_u = (2 * ia + ib) if half else ia
-        if denom_u != 0:
-            if half:
-                pts.append(-b * (-2 * ib * nm + ia + ib * tr) / denom_u)
-            else:
-                pts.append(b * ib * nm / denom_u)
-        if not pts:
-            continue
-        pts = sorted(pts)
-        ranges = []
-        span = [pts[0] - 1.0] + pts + [pts[-1] + 1.0]
-        for i in range(len(span) - 1):
-            lo, hi = span[i], span[i + 1]
-            if hi - lo < 1e-12:
-                continue
-            mid = (lo + hi) / 2
-            if constraints_at(mid, b):
-                ranges.append((math.floor(lo) - 1, math.ceil(hi) + 1))
-        if not ranges:
-            continue
-        # merge overlapping candidate ranges
-        ranges.sort()
-        merged = [list(ranges[0])]
-        for lo, hi in ranges[1:]:
-            if lo <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        for lo, hi in merged:
-            a = np.arange(lo, hi + 1, dtype=np.int64)
-            bb = np.full_like(a, b)
-            ok = exact_filter(a, bb)
-            sel = np.nonzero(ok)[0]
-            if sel.size:
-                out_a.append(a[sel])
-                out_b.append(bb[sel])
-    if not out_a:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+
+# candidates run through the slab predicate at once; bounds the working memory
+_SLAB_CHUNK = 1 << 18
+
+
+def _slab_coordinates(field: NumberField, eps: FieldElement, B: float):
+    """Integer coordinates (a, b) of slab points with 0 < |N| <= B, ordered
+    by b, then a; membership is decided by `_slab_filter` alone.
+
+    Candidates come from one closed-form interval per row.  With s1, s2 the
+    embeddings of l = a + b*omega, Delta = (s1 - s2) / b = sqrt(d_F) and
+    e1 = s1(eps), the slab |s2| <= |s1| < e1^2 |s2| with |s1 s2| <= B gives
+    |s2| <= sqrt(B), |s1| < e1 sqrt(B) and |s1| >= |b| Delta / 2.  So the
+    rows are |b| < (e1 + 1) sqrt(B) / Delta, and row b needs only
+    |a + b w2| = |s2| <= R_b = min(sqrt(B), 2B / (|b| Delta)), widened by
+    one integer on each side against float rounding.
+    """
+    e1 = eps.embed_float()[0]
+    w1, w2 = field.omega.embed_float()
+    delta = abs(w1 - w2)
+    root = math.sqrt(B)
+    bmax = int((e1 + 1) * root / delta) + 2
+    if 2 * bmax + 1 > MAX_BOX_POINTS:
+        raise EisensteinError(
+            f"unit slab of {2 * bmax + 1} rows (s1(eps_N) = {e1:.4g}, B = {B:g}) "
+            f"exceeds {MAX_BOX_POINTS}")
+    b = np.arange(-bmax, bmax + 1, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        R = np.minimum(root, 2.0 * B / (np.abs(b) * delta))
+    centre = -b * w2
+    lo = np.floor(centre - R).astype(np.int64) - 1
+    count = np.ceil(centre + R).astype(np.int64) + 2 - lo
+    start = np.cumsum(count) - count
+    # rows whose first candidate falls in the same _SLAB_CHUNK block go together
+    cuts = np.unique(np.append(
+        np.searchsorted(start, np.arange(0, start[-1] + count[-1], _SLAB_CHUNK)), b.size))
+    exact_filter = _slab_filter(field, eps, B)
+    out_a = []
+    out_b = []
+    for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        n = count[r0:r1]
+        offset = np.repeat(lo[r0:r1] - (start[r0:r1] - start[r0]), n)
+        a = offset + np.arange(offset.size, dtype=np.int64)
+        bb = np.repeat(b[r0:r1], n)
+        ok = exact_filter(a, bb)
+        out_a.append(a[ok])
+        out_b.append(bb[ok])
     return np.concatenate(out_a), np.concatenate(out_b)
 
 
@@ -282,6 +264,12 @@ class TorusData:
 
     norm_f: Fraction = Fraction(1)
     signs: tuple = (1,)
+
+    def __post_init__(self):
+        if not self.norm_f > 0:
+            raise PreconditionError("the torus norm ||t2||_f must be positive")
+        if any(t not in (1, -1) for t in self.signs):
+            raise PreconditionError("the torus signs must be +1 or -1")
 
     @staticmethod
     def identity(field: NumberField) -> "TorusData":
@@ -353,8 +341,8 @@ def constant_term(phi, m: int, torus: TorusData | None = None,
         raise PreconditionError("constant term requires a trace-zero function (S^0)")
     if m < 0:
         raise PreconditionError("m must be >= 0")
-    if not B > 0:
-        raise PreconditionError("the lattice bound B must be positive")
+    if not B >= 1:
+        raise PreconditionError("the lattice bound B must be at least 1")
     field = f.field
     k = m + 2
     torus = torus or TorusData.identity(field)
@@ -520,8 +508,11 @@ def certify_rational(run1: LatticeSumResult, run2: LatticeSumResult,
 # Eisenstein lattice sums at a point of the symmetric space
 
 
-def eisenstein_value(phi, chi, m: int, s: float, point, B: int = 40,
-                     precision: int = 53) -> LatticeSumResult:
+# eisenstein_value sums in float64; its results record that mantissa width
+_FLOAT64_BITS = 53
+
+
+def eisenstein_value(phi, chi, m: int, s: float, point, B: int = 40) -> LatticeSumResult:
     """Scalar Eisenstein lattice sum at tau (upper half plane per embedding),
     scale r:
 
@@ -538,6 +529,8 @@ def eisenstein_value(phi, chi, m: int, s: float, point, B: int = 40,
         raise PreconditionError("outside the absolute convergence range")
     if chi is not None and not chi.is_trivial():
         raise EisensteinError("nontrivial character components not implemented")
+    if B < 1:
+        raise PreconditionError("the lattice bound B must be at least 1")
     if (2 * B + 1) ** (2 * xi) > MAX_BOX_POINTS:
         raise EisensteinError(
             f"lattice box of (2B+1)^{2 * xi} = {(2 * B + 1) ** (2 * xi)} points exceeds "
@@ -566,7 +559,7 @@ def eisenstein_value(phi, chi, m: int, s: float, point, B: int = 40,
         val = complex(terms.sum()) * math.gamma(m + 2 + s)
         count = int(mask.sum())
         tail = abs(val) * 0 + float(np.abs(fv).max()) * (B ** (-(2 * k - 2)) + 1e-300)
-        return LatticeSumResult(val, B, tail, count, precision)
+        return LatticeSumResult(val, B, tail, count, _FLOAT64_BITS)
     # xi = 2: direct small-box sum over 4 integer coordinates
     w1e, w2e = field.omega.embed_float()
     rng = np.arange(-B, B + 1)
@@ -585,7 +578,7 @@ def eisenstein_value(phi, chi, m: int, s: float, point, B: int = 40,
         terms = np.where(mask, fv * total, 0)
     val = complex(terms.sum())
     tail = float(np.abs(fv).max()) * float(B) ** (2 * xi - 2 * (m + 2 + s))
-    return LatticeSumResult(val, B, tail, int(mask.sum()), precision)
+    return LatticeSumResult(val, B, tail, int(mask.sum()), _FLOAT64_BITS)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,8 @@ def _rho(tbl: np.ndarray, scale, C: int, eta, m: int, rc: RayClassGroup, mats,
     field = scale.field
     if rc.N != C and C % rc.N != 0:
         raise HorosphericalError("level of phi incompatible with the group level")
+    if field.degree == 2 and not B >= 1:
+        raise PreconditionError("the lattice bound B must be at least 1")
     k = m + 2
     group = matrix_group(field.degree, field.D, rc.N)
     Z = _line_sums(field, rc.N, C, k, B)

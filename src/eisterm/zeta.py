@@ -67,62 +67,24 @@ def twisted_zeta_rank1(a, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over a field (truncated series)
+# cone zeta values
 
 
-def _poly_mul(p, q, trunc):
-    out = [None] * (trunc + 1)
-    for i in range(trunc + 1):
-        acc = None
-        for j in range(0, i + 1):
-            if j < len(p) and (i - j) < len(q):
-                term = p[j] * q[i - j]
-                acc = term if acc is None else acc + term
-        out[i] = acc
-    return out
+def _binom(m: int, i: int) -> int:
+    """C(m, i) for m >= -1, with C(-1, i) = (-1)^i."""
+    return math.comb(m, i) if m >= 0 else (-1) ** i
 
 
-def _poly_pow(p, e, trunc, one):
-    result = [one] + [one * 0] * trunc
-    base = list(p) + [one * 0] * (trunc + 1 - len(p))
-    while e:
-        if e & 1:
-            result = [c if c is not None else one * 0 for c in _poly_mul(result, base, trunc)]
-        base = [c if c is not None else one * 0 for c in _poly_mul(base, base, trunc)]
-        e >>= 1
-    return result
-
-
-def _series_inverse(p, trunc, one):
-    """1/p(u) as a truncated series; p[0] must be invertible."""
-    inv0 = one / p[0] if isinstance(p[0], FieldElement) else 1 / p[0]
-    out = [inv0] + [one * 0] * trunc
-    for i in range(1, trunc + 1):
-        acc = one * 0
-        for j in range(1, i + 1):
-            pj = p[j] if j < len(p) else one * 0
-            acc = acc + pj * out[i - j]
-        out[i] = -(inv0 * acc)
-    return out
-
-
-def _sector_taylor_coeff(field: NumberField, e1: FieldElement, e2: FieldElement,
-                         r: int, q: int, n: int) -> FieldElement:
-    """[u^n] (1+u)^(r-1) (e1 + u e2)^(q-1) in the field."""
-    one = field.one
-    A = [one, one]  # 1 + u
-    B = [e1, e2]
-    if r >= 1:
-        PA = _poly_pow(A, r - 1, n, one)
-    else:
-        PA = _series_inverse(A, n, one)
-    if q >= 1:
-        PB = _poly_pow(B, q - 1, n, one)
-    else:
-        PB = _series_inverse(B, n, one)
-    prod = _poly_mul(PA, PB, n)
-    c = prod[n]
-    return c if c is not None else one * 0
+def _sector_taylor_coeff(e1: FieldElement, e2: FieldElement, r: int, q: int,
+                         n: int) -> FieldElement:
+    """[u^n] (1+u)^(r-1) (e1 + u e2)^(q-1)
+    = sum_{i+j=n} C(r-1, i) C(q-1, j) e1^(q-1-j) e2^j in the field."""
+    total = e1.field.zero
+    for j in range(n + 1):
+        c = _binom(r - 1, n - j) * _binom(q - 1, j)
+        if c:
+            total = total + e1.field.elt(c) * e1 ** (q - 1 - j) * e2 ** j
+    return total
 
 
 def cone_zeta_value(field: NumberField, eps: FieldElement, n: int,
@@ -149,7 +111,7 @@ def cone_zeta_value(field: NumberField, eps: FieldElement, n: int,
             if br == 0 or bq == 0:
                 continue
             coeff = Fraction(br, 1) * bq / (math.factorial(r) * math.factorial(q))
-            tc = _sector_taylor_coeff(field, f1, f2, r, q, n)
+            tc = _sector_taylor_coeff(f1, f2, r, q, n)
             total = total + field.elt(coeff) * tc
     fact = Fraction(math.factorial(n) ** 2, 2)
     total = field.elt(fact) * total

@@ -198,6 +198,48 @@ def test_constant_term_bound_zero_is_an_error(capsys):
     assert "bound" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("args", [
+    ["constant-term", "--D", "2", "--N", "3"],
+    ["certify", "--D", "2", "--N", "3"],
+    ["horospherical", "--D", "5", "--N", "3", "--check", "kernel", "--samples", "2"],
+    ["eisenstein", "--D", "Q", "--N", "2"],
+    ["eisenstein", "--D", "5", "--N", "2", "--m", "1"],
+], ids=["constant-term", "certify", "horospherical", "eisenstein-Q", "eisenstein-d5"])
+def test_bound_below_one_is_an_error(args, capsys):
+    """A bound in (0, 1) truncates to no lattice points: an error record with
+    exit 1, not a ZeroDivisionError from the tail term."""
+    code = run_command(args + ["--bound", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "bound" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--t2-norm", "0"), ("--t2-norm", "-2"), ("--t2-sign", "0"), ("--t2-sign", "2"),
+])
+def test_invalid_torus_is_an_error(flag, value, capsys):
+    """||t2||_f must be positive and each sign +1 or -1: a zero norm or sign
+    used to divide by zero, and sign 2 silently scaled the value."""
+    code = run_command(["constant-term", "--D", "Q", "--N", "2", flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "torus" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
+
+
+def test_constant_term_oversized_slab_is_refused(capsys):
+    """eps_N ~ 1.9e7 over Q(sqrt17) at N = 3 puts ~9e8 rows in the unit slab
+    at B = 1e4: an error record, before any row is allocated."""
+    import time
+
+    t0 = time.perf_counter()
+    code, out = run_cli(["constant-term", "--D", "17", "--N", "3"], capsys)
+    assert time.perf_counter() - t0 < 5
+    assert code == 1
+    assert "exceeds" in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("m", ["0", "1"])
 def test_eisenstein_oversized_box_is_refused(capsys, m):
     """(2*40+1)^4 = 43M lattice points at xi = 2: an error record, quickly.

@@ -7,6 +7,7 @@ import pytest
 
 from eisterm.field import construct_field
 from eisterm.schwartz import FractionalSchwartz, fourier_transform, is_S0
+from eisterm import eisenstein
 from eisterm.zeta import twisted_zeta_rank1
 from eisterm.eisenstein import (
     MAX_BOX_POINTS,
@@ -17,6 +18,8 @@ from eisterm.eisenstein import (
     RationalCertificate,
     TorusData,
     UnitFundamentalDomain,
+    _slab_coordinates,
+    _slab_filter,
     certify_rational,
     constant_term,
     constant_term_quadrature,
@@ -82,6 +85,9 @@ def test_orbit_reps_vs_brute_force(D, N, B):
     reps = enumerate_orbit_reps(K, N, B)
     rep_set = {(x.a, x.b) for x in reps}
     assert len(rep_set) == len(reps)
+    # ordered by b, then a: np.add.at accumulates the class sums in this order
+    order = [(x.b, x.a) for x in reps]
+    assert order == sorted(order)
     # brute force: all lattice points with |N| <= B in a large box, reduced
     e1 = eps.embed_float()[0]
     bound = int(math.sqrt(B * e1)) + 2
@@ -94,6 +100,30 @@ def test_orbit_reps_vs_brute_force(D, N, B):
             red, _ = dom.reduce(x)
             seen.add((red.a, red.b))
     assert seen == rep_set
+
+
+@pytest.mark.parametrize("D,N,B", [(5, 3, 60), (2, 3, 30), (3, 3, 20), (2, 4, 60)])
+def test_slab_rows_hold_the_slab(D, N, B, monkeypatch):
+    """The per-row candidate intervals lose no slab point: a box scan through
+    the same exact predicate gives the same arrays, in the same order.  The
+    box holds every point with |s2| <= sqrt(B) and |s1| < e1 sqrt(B), twice
+    over in b; (2, 3) and (3, 3) are the large-unit levels (e1 ~ 1154, 2702).
+    A 16-candidate chunk makes rows straddle chunks and outgrow them."""
+    monkeypatch.setattr(eisenstein, "_SLAB_CHUNK", 16)
+    K = construct_field(D)
+    eps = UnitFundamentalDomain(K, N).eps
+    e1 = eps.embed_float()[0]
+    w1, w2 = K.omega.embed_float()
+    # |b| (w1 - w2) = |s1 - s2| < (e1 + 1) sqrt(B) and a = s2 - b w2
+    bbox = 2 * int((e1 + 1) * math.sqrt(B) / (w1 - w2)) + 2
+    half_width = int(math.sqrt(B)) + 2
+    b = np.arange(-bbox, bbox + 1, dtype=np.int64)[:, None]
+    a = np.round(-b * w2).astype(np.int64) + np.arange(-half_width, half_width + 1)
+    b = np.broadcast_to(b, a.shape)
+    ok = _slab_filter(K, eps, float(B))(a, b)
+    aa, bb = _slab_coordinates(K, eps, float(B))
+    assert aa.size > 0
+    assert np.array_equal(aa, a[ok]) and np.array_equal(bb, b[ok])
 
 
 def test_orbit_disjointness():
