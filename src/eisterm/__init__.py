@@ -58,7 +58,6 @@ from .eisenstein import (
 )
 from .horospherical import (
     IndFunction,
-    hecke_L_partial,
     horospherical_map,
     kernel_coefficient,
     lambda_constant,

@@ -109,9 +109,8 @@ def enumerate_orbit_reps(field: NumberField, N: int, B):
             out.append(field.elt(-w))
             w += 1
         return out
-    dom = UnitFundamentalDomain(field, N)
-    aa, bb = _slab_coordinates(field, dom.eps, float(B))
-    return [field.elt(a, b) for a, b in zip(aa.tolist(), bb.tolist())]
+    chunks = _slab_coordinates(field, UnitFundamentalDomain(field, N).eps, float(B))
+    return [field.elt(a, b) for aa, bb in chunks for a, b in zip(aa.tolist(), bb.tolist())]
 
 
 def _slab_filter(field: NumberField, eps: FieldElement, B: float):
@@ -154,8 +153,9 @@ _SLAB_CHUNK = 1 << 18
 
 
 def _slab_coordinates(field: NumberField, eps: FieldElement, B: float):
-    """Integer coordinates (a, b) of slab points with 0 < |N| <= B, ordered
-    by b, then a; membership is decided by `_slab_filter` alone.
+    """Integer coordinates (a, b) of slab points with 0 < |N| <= B, streamed
+    as per-chunk arrays ordered by b, then a; membership is decided by
+    `_slab_filter` alone.  The row guard raises before any chunk is built.
 
     Candidates come from one closed-form interval per row.  With s1, s2 the
     embeddings of l = a + b*omega, Delta = (s1 - s2) / b = sqrt(d_F) and
@@ -185,17 +185,29 @@ def _slab_coordinates(field: NumberField, eps: FieldElement, B: float):
     cuts = np.unique(np.append(
         np.searchsorted(start, np.arange(0, start[-1] + count[-1], _SLAB_CHUNK)), b.size))
     exact_filter = _slab_filter(field, eps, B)
-    out_a = []
-    out_b = []
-    for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+
+    def chunk(r0, r1):
         n = count[r0:r1]
         offset = np.repeat(lo[r0:r1] - (start[r0:r1] - start[r0]), n)
         a = offset + np.arange(offset.size, dtype=np.int64)
         bb = np.repeat(b[r0:r1], n)
         ok = exact_filter(a, bb)
-        out_a.append(a[ok])
-        out_b.append(bb[ok])
-    return np.concatenate(out_a), np.concatenate(out_b)
+        return a[ok], bb[ok]
+
+    return (chunk(r0, r1) for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+
+
+def _slab_power_sums(field: NumberField, eps: FieldElement, B, k: int, bins, size: int):
+    """(Z, count): N(l)^-k over the slab points l = a + b*omega, 0 < |N(l)| <= B, summed
+    into `size` bins at bins(a, b, N(l)) chunk by chunk, so one chunk is held at a time."""
+    tr, nm = int(field.w_trace), int(field.w_norm)
+    Z = np.zeros(size, dtype=np.float64)
+    count = 0
+    for a, b in _slab_coordinates(field, eps, float(B)):
+        norm = a * a + a * b * tr + b * b * nm
+        np.add.at(Z, bins(a, b, norm), norm.astype(np.float64) ** (-k))
+        count += a.size
+    return Z, count
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +246,8 @@ def rank2_class_sums(D: int, N: int, C: int, k: int, B: int) -> tuple:
     """
     field = construct_field(D)
     dom = UnitFundamentalDomain(field, N)
-    ai, bi = _slab_coordinates(field, dom.eps, float(B))
-    tr = int(field.w_trace)
-    nm = int(field.w_norm)
-    norm = (ai * ai + ai * bi * tr + bi * bi * nm).astype(np.float64)
-    vals = norm ** (-k)
-    lam = (np.mod(ai, C) * C + np.mod(bi, C))
-    Z = np.zeros(C * C, dtype=np.float64)
-    np.add.at(Z, lam, vals)
-    count = int(ai.size)
+    Z, count = _slab_power_sums(field, dom.eps, B, k,
+                                lambda a, b, _: np.mod(a, C) * C + np.mod(b, C), C * C)
     # exact-geometry mean tail per class: density 4 log s1(eps) / (C^2 sqrt(dF))
     # points per unit norm; the mean tail integrates the power weight, the
     # residual fluctuation scales like B^(1/2 - k)

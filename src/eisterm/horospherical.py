@@ -1,5 +1,5 @@
-"""The horospherical map, Hecke L Euler products, spherical functions and the
-averaging projector over SL2(O/N), and the constructive preimage.
+"""The horospherical map, Lambda_N, spherical functions and the averaging
+projector over SL2(O/N), and the constructive preimage.
 
 The map is evaluated through the unfolded orbit sum
 
@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 from sympy import factorint
 
-from .field import NumberField, construct_field, prime_ideals_up_to
+from .field import NumberField, construct_field, fundamental_unit, unit_subgroup_generator
 from .classfield import (
     GroupCharacter,
     HeckeCharacterData,
@@ -33,12 +34,12 @@ from .classfield import (
 from .schwartz import (
     ComplexSchwartz,
     TwistedSchwartz,
-    _IndexGrid,
+    _index_grid,
     complex_fourier_transform,
     fourier_transform,
     is_S0,
 )
-from .eisenstein import PreconditionError, rank1_class_sums, rank2_class_sums
+from .eisenstein import PreconditionError, _slab_power_sums, rank1_class_sums, rank2_class_sums
 
 
 class HorosphericalError(ValueError):
@@ -271,34 +272,48 @@ def psi_project(psi: IndFunction):
 
 
 # ---------------------------------------------------------------------------
-# Euler products
+# Lambda_N from ray-class partial zeta values
 
 
-def hecke_L_partial(field: NumberField, rc: RayClassGroup, chi: GroupCharacter,
-                    s: float, P: int = 10_000) -> complex:
-    """(1/sqrt d_F) prod over prime ideals of norm <= P, coprime to the level,
-    of (1 - chi(p) Np^-s)^-1."""
-    if s <= 1:
-        raise PreconditionError("Euler product needs s > 1")
-    prod = complex(1.0)
-    for (np_, ideal) in prime_ideals_up_to(field, P):
-        # skip primes dividing the level: p | (N) iff N lies in p
-        if rc.N > 1 and ideal.contains(field.elt(rc.N)):
-            continue
-        chi_val = chi.value(rc.class_of_ideal(ideal))
-        prod *= 1.0 / (1.0 - chi_val * np_ ** (-s))
-    return 1.0 / math.sqrt(field.discriminant) * prod
+@lru_cache(maxsize=None)
+def _slab_ideal_sums(D: int, N: int, k: int, P) -> tuple:
+    """S[a*N + b][2i + j]: |N(l)|^-k over the slab(eps_N) points l = a + b*omega mod N with
+    |N(l)| <= P and signs ((-1)^i, (-1)^j), plus the bin's exact-density tail, over the
+    [O^x : <eps_N>] generators of an ideal in the slab.  There s1(l) has the sign of a + b."""
+    field = construct_field(D)
+    eps, r = unit_subgroup_generator(field, N)
+    S, _ = _slab_power_sums(field, eps, P, k, lambda a, b, norm: (
+        (np.mod(a, N) * N + np.mod(b, N)) * 4 + 2 * (a + b < 0) + ((norm < 0) != (a + b < 0))),
+        4 * N * N)
+    # N(l)^-k = sgn(N l)^k |N(l)|^-k, and sgn N(l) = sgn s1(l) sgn s2(l)
+    S = S.reshape(-1, 4) * [1, (-1) ** k, (-1) ** k, 1] + math.log(eps.embed_float()[0]) \
+        / (N * N * math.sqrt(field.discriminant)) * float(P) ** (1 - k) / (k - 1)
+    index = 2 * r * (2 if fundamental_unit(field)[1] < 0 else 1)
+    return tuple(map(tuple, (S / index).tolist()))
 
 
 def lambda_constant(rc: RayClassGroup, chi_prime: GroupCharacter, m: int,
                     P: int = 10_000) -> complex:
-    """Lambda_N(chi, m+2) = |Cl^(N)| Gamma(m+2)^xi / (-2 pi i)^(xi(m+2)) * Tate integral."""
-    field = rc.field
-    xi = field.degree
-    k = m + 2
-    tate = hecke_L_partial(field, rc, chi_prime, float(k), P)
+    """Lambda_N(chi, k) = |Cl^(N)| Gamma(k)^xi / (-2 pi i)^(xi k) * L_N(chi, k) / sqrt(d_F)
+    at k = m+2.  L_N sums chi(c) N(a)^-k over the ideals a coprime to N: Hurwitz values over
+    Q, slab sums of norm <= P over Q(sqrt D); (l) is in the class of (l^-1 mod N, signs of l)."""
+    if m < 0:
+        raise PreconditionError("Lambda_N needs m >= 0")
+    field, ring, N = rc.field, rc.ring, rc.N
+    xi, k = field.degree, m + 2
+    if xi == 1:
+        terms = [(u, (1,), float(mpmath.zeta(k, mpmath.mpf(u[0] or N) / N)) / N ** k)
+                 for u in ring.units()]
+    elif not P >= 1:
+        raise PreconditionError("the norm bound P must be at least 1")
+    else:
+        S = _slab_ideal_sums(field.D, N, k, P)
+        terms = [(u, (1 - 2 * (j >> 1), 1 - 2 * (j & 1)), S[u[0] * N + u[1]][j])
+                 for u in ring.units() for j in range(4)]
+    L = sum(chi_prime.value(rc.class_of_residue(ring.inv(u), signs)) * z
+            for u, signs, z in terms)
     pref = rc.order * math.gamma(k) ** xi / ((-2j * math.pi) ** (xi * k))
-    return pref * tate
+    return pref * L / math.sqrt(field.discriminant)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +354,7 @@ def _rho(tbl: np.ndarray, scale, C: int, eta, m: int, rc: RayClassGroup, mats,
     Z = _line_sums(field, rc.N, C, k, B)
     cN = _unfold_constant(field, rc, m)
     sprime_nk = float(scale.norm()) ** k if field.degree == 2 else float(scale.a) ** k
-    grid = _IndexGrid(field, C)
+    grid = _index_grid(field, C)
     ring = grid.ring
     lam = tuple(np.array(ring.elements()).T)  # O/C in the order of Z
     # w0 = ghat^-1 e1 per matrix; w0[:, i, j] is coordinate j of entry i
@@ -386,7 +401,7 @@ def s_psi_bar(psi: IndFunction) -> ComplexSchwartz:
     field = group.field
     N = group.N
     one = group.ring.one
-    grid = _IndexGrid(field, N)
+    grid = _index_grid(field, N)
     values = np.zeros(grid.n, dtype=np.complex128)
     for v in group.primitive_vectors():
         x = group.completion_matrix(v)
@@ -407,7 +422,7 @@ def preimage(psi: IndFunction, lam_P: int = 200_000):
     lam = lambda_constant(rc, data.chi_prime, data.m, lam_P)
     if abs(lam) < 1e-12:
         raise HorosphericalError(
-            "Lambda_N vanished numerically; the Euler product must be nonzero")
+            "Lambda_N vanished numerically; the L-value must be nonzero")
     base = s_psi_bar(psi)
     grid = base.grid
     total = np.zeros(grid.n, dtype=np.complex128)

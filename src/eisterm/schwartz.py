@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from sympy import Poly, cyclotomic_poly, factorint, symbols
@@ -223,6 +223,8 @@ class _IndexGrid:
             a = a // C
             self.B1 = a % C
             self.A1 = a // C
+        for arr in (self.A1, self.B1, self.A2, self.B2):  # shared by every table
+            arr.flags.writeable = False
         self.coords = ((self.A1, self.B1), (self.A2, self.B2))
 
     def index_of(self, v):
@@ -246,25 +248,27 @@ class _IndexGrid:
         w2 = ring.add(ring.mul(c, v1), ring.mul(d, v2))
         return self.index_of((w1, w2))
 
+    @cached_property
+    def dual_index(self) -> np.ndarray:
+        """Flat index of A y mod C for every table index y.
+
+        A is the pairing in coordinates: the additive-character exponent of a
+        pair of table indices, det(y,u) mod C for Q and the omega-coefficient of
+        det(y,u) mod C for quadratic fields (exactly Tr(det(y,u)/(C*delta))
+        cleared of C), equals (A y) . u mod C.  So the transform at y is the plain
+        DFT over (Z/C)^2xi at A y, also where A is singular mod C.
+        """
+        A1, B1, A2, B2 = self.A1, self.B1, self.A2, self.B2
+        if self.xi == 1:
+            return self.index_of(((-A2, 0), (A1, 0)))
+        tr = int(self.field.w_trace)
+        return self.index_of(((-B2, -A2 - tr * B2), (B1, A1 + tr * B1)))
+
 
 @lru_cache(maxsize=None)
-def _dual_index(degree: int, D: int, C: int) -> np.ndarray:
-    """Flat index of A y mod C for every table index y.
-
-    A is the pairing in coordinates: the additive-character exponent of a
-    pair of table indices, det(y,u) mod C for Q and the omega-coefficient of
-    det(y,u) mod C for quadratic fields (exactly Tr(det(y,u)/(C*delta))
-    cleared of C), equals (A y) . u mod C.  So the transform at y is the plain
-    DFT over (Z/C)^2xi at A y, also where A is singular mod C.
-    """
-    from .field import construct_field
-
-    field = construct_field(None if degree == 1 else D)
-    g = _IndexGrid(field, C)
-    if degree == 1:
-        return g.index_of(((-g.A2, 0), (g.A1, 0)))
-    tr = int(field.w_trace)
-    return g.index_of(((-g.B2, -g.A2 - tr * g.B2), (g.B1, g.A1 + tr * g.B1)))
+def _index_grid(field: NumberField, C: int) -> _IndexGrid:
+    """The one read-only grid of (field, C), shared by every table there."""
+    return _IndexGrid(field, C)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +290,7 @@ class FractionalSchwartz:
         self.field = field
         self.scale = scale
         self.C = C
-        self.grid = _IndexGrid(field, C)
+        self.grid = _index_grid(field, C)
         self.M = M if M is not None else (coeffs.shape[1] if coeffs.ndim == 2 else C)
         if self.M % C != 0:
             raise SchwartzError("root order M must be divisible by the modulus C")
@@ -407,6 +411,7 @@ class FractionalSchwartz:
         return out
 
 
+@lru_cache(maxsize=None)
 def _dual_scale(field: NumberField, scale: FieldElement, C: int):
     """(kappa, s') for the transform of a table at scale s and modulus C:
     kappa = |N(s)|^-2 C^-2xi d_F^-1 is the volume of s*C*V(Zhat), and
@@ -451,7 +456,7 @@ def fourier_transform(f: FractionalSchwartz) -> FractionalSchwartz:
         for x in range(1, C):
             acc += a[x][:, S[x]]
         a = acc.transpose(0, 2, 1).reshape(C, -1, M)
-    coeffs = a.reshape(n, M)[_dual_index(field.degree, field.D, C)]
+    coeffs = a.reshape(n, M)[f.grid.dual_index]
     kappa, new_scale = _dual_scale(field, f.scale, C)
     return FractionalSchwartz(field, new_scale, C, coeffs, f.prefactor * kappa, M)
 
@@ -468,7 +473,7 @@ class ComplexSchwartz:
         self.field = field
         self.scale = scale
         self.C = C
-        self.grid = _IndexGrid(field, C)
+        self.grid = _index_grid(field, C)
         self.values = values
 
 
@@ -480,7 +485,7 @@ def complex_fourier_transform(f: ComplexSchwartz) -> ComplexSchwartz:
     F = np.fft.fftn(f.values.reshape((C,) * (2 * f.grid.xi))).ravel()
     kappa, new_scale = _dual_scale(field, f.scale, C)
     return ComplexSchwartz(field, new_scale, C,
-                           float(kappa) * F[_dual_index(field.degree, field.D, C)])
+                           float(kappa) * F[f.grid.dual_index])
 
 
 def act_group(g, f: FractionalSchwartz, det_inverse: bool = False) -> FractionalSchwartz:

@@ -215,6 +215,17 @@ def test_bound_below_one_is_an_error(args, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_prime_bound_zero_is_an_error(capsys):
+    """Over Q(sqrt5) the prime bound sets the norm bound of the Lambda_N sums:
+    0 is an error record with exit 1, not a Lambda_N from an empty sum."""
+    code = run_command(["horospherical", "--D", "5", "--N", "3", "--check", "roundtrip",
+                        "--prime-bound", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "norm bound" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--t2-norm", "0"), ("--t2-norm", "-2"), ("--t2-sign", "0"), ("--t2-sign", "2"),
 ])

@@ -121,7 +121,7 @@ def test_slab_rows_hold_the_slab(D, N, B, monkeypatch):
     a = np.round(-b * w2).astype(np.int64) + np.arange(-half_width, half_width + 1)
     b = np.broadcast_to(b, a.shape)
     ok = _slab_filter(K, eps, float(B))(a, b)
-    aa, bb = _slab_coordinates(K, eps, float(B))
+    aa, bb = map(np.concatenate, zip(*_slab_coordinates(K, eps, float(B))))
     assert aa.size > 0
     assert np.array_equal(aa, a[ok]) and np.array_equal(bb, b[ok])
 

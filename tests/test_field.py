@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eisterm.field import (
@@ -81,15 +83,16 @@ def test_fundamental_unit_pell_minimality(D):
     if s1 > 600:
         pytest.skip(f"unit too large for box enumeration at D={D}")
     bound_b = int(s1) + 2
-    hits = []
-    for b in range(0, bound_b + 1):
-        for a in range(-bound_b - 2, bound_b + 3):
-            x = K.elt(a, b)
-            if abs(x.norm()) == 1:
-                e1 = x.embed_float()[0]
-                if 1 + 1e-9 < e1 <= s1 + 1e-9:
-                    hits.append((a, b))
-    assert hits == [(int(u.a), int(u.b))]
+    # the box b in [0, bound_b], a in [-bound_b - 2, bound_b + 2] as int64
+    # grids; x = a + b*w has norm a^2 + a b Tr(w) + b^2 N(w) and first
+    # embedding (a + b wx) + b wy sqrt(D) for w = wx + wy sqrt(D)
+    b, a = np.meshgrid(np.arange(0, bound_b + 1), np.arange(-bound_b - 2, bound_b + 3),
+                       indexing="ij")
+    norm = a * a + a * b * int(K.w_trace) + b * b * int(K.w_norm)
+    wx, wy = K.omega.sqrtD_coords()
+    e1 = (a + b * float(wx)) + (b * float(wy)) * math.sqrt(D)
+    hit = (np.abs(norm) == 1) & (1 + 1e-9 < e1) & (e1 <= s1 + 1e-9)
+    assert list(zip(a[hit].tolist(), b[hit].tolist())) == [(int(u.a), int(u.b))]
 
 
 def test_totally_positive_unit():

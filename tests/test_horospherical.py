@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from sympy import jacobi_symbol
 
-from eisterm.field import construct_field
+from eisterm.field import FractionalIdeal, construct_field, prime_ideals_up_to
 from eisterm.classfield import (
     GroupCharacter,
     HeckeCharacterData,
@@ -23,7 +25,6 @@ from eisterm.horospherical import (
     _lift_matrix,
     _line_sums,
     _unfold_constant,
-    hecke_L_partial,
     horospherical_map,
     horospherical_map_complex,
     induced_from_coset_values,
@@ -241,7 +242,36 @@ def test_spherical_S_left_invariance():
         assert abs(S.table[group.mul(k, g)] - S.table[g]) < 1e-12
 
 
-# -- Euler products -------------------------------------------------------------
+# -- Lambda_N and the Euler-product oracle -------------------------------------
+
+
+def hecke_L_partial(field, rc, chi, s, P=10_000):
+    """Oracle: (1/sqrt d_F) prod over prime ideals of norm <= P, coprime to
+    the level, of (1 - chi(p) Np^-s)^-1, with chi read through class_of_ideal."""
+    if s <= 1:
+        raise PreconditionError("Euler product needs s > 1")
+    prod = complex(1.0)
+    for (np_, ideal) in prime_ideals_up_to(field, P):
+        # skip primes dividing the level: p | (N) iff N lies in p
+        if rc.N > 1 and ideal.contains(field.elt(rc.N)):
+            continue
+        prod *= 1.0 / (1.0 - chi.value(rc.class_of_ideal(ideal)) * np_ ** (-s))
+    return prod / math.sqrt(field.discriminant)
+
+
+def L_of_lambda(rc, chi, P=10_000, k=2):
+    """L_N(chi, k) / sqrt(d_F), read back from Lambda_N(chi, k)."""
+    xi = rc.field.degree
+    return (lambda_constant(rc, chi, k - 2, P) * (-2j * math.pi) ** (k * xi)
+            / (rc.order * math.gamma(k) ** xi))
+
+
+def dirichlet_L2(d):
+    """L(chi_d, 2) for a discriminant d = 1 mod 4, chi_d(n) = (n / |d|), from
+    Hurwitz values."""
+    q = abs(d)
+    return float(sum(jacobi_symbol(a, q) * mpmath.zeta(2, mpmath.mpf(a) / q)
+                     for a in range(1, q)) / q ** 2)
 
 
 def test_hecke_L_rational_zeta2():
@@ -259,7 +289,6 @@ def test_hecke_L_quadratic_vs_ideal_sum():
     rc = ray_class_group(K, 1)
     chi = trivial_char(rc)
     t = hecke_L_partial(K, rc, chi, 2.0, P=10_000)
-    from eisterm.field import prime_ideals_up_to
 
     X = 10_000
     counts = np.zeros(X + 1, dtype=np.int64)
@@ -292,20 +321,67 @@ def test_hecke_L_precondition():
     rc = ray_class_group(Q, 3)
     with pytest.raises(PreconditionError):
         hecke_L_partial(Q, rc, trivial_char(rc), 1.0)
+    with pytest.raises(PreconditionError):
+        lambda_constant(rc, trivial_char(rc), -1)
+
+
+def test_lambda_norm_bound_below_one():
+    rc = ray_class_group(K5, 3)
+    with pytest.raises(PreconditionError):
+        lambda_constant(rc, trivial_char(rc), 0, P=0.5)
 
 
 def test_lambda_minus_one_twentyfourth():
     rc = ray_class_group(Q, 1)
     lam = lambda_constant(rc, trivial_char(rc), 0, P=300_000)
-    assert abs(lam - (-1.0 / 24.0)) < 1e-6
+    assert abs(lam - (-1.0 / 24.0)) < 1e-12
     assert abs(lam.imag) < 1e-12
 
 
+def test_lambda_d5_closed_forms():
+    """Q(sqrt5), N = 3: (3) is inert of norm 9, so the trivial character gives
+    zeta_F(2) (1 - 9^-2) with zeta_F(2) = zeta(2) L(chi_5, 2), and the other
+    ray class character is the twist by chi_-3, giving L(chi_-3, 2) L(chi_-15, 2)."""
+    rc = ray_class_group(K5, 3)
+    trivial = math.pi ** 2 / 6 * dirichlet_L2(5) * (1 - 9.0 ** -2) / math.sqrt(5)
+    other = dirichlet_L2(-3) * dirichlet_L2(-15) / math.sqrt(5)
+    assert abs(trivial - 0.5131013848705) < 1e-12
+    assert abs(other - 0.4530502866414) < 1e-12
+    chars = all_characters(rc.group)
+    assert len(chars) == 2
+    for chi in chars:
+        want = trivial if chi.is_trivial() else other
+        assert abs(L_of_lambda(rc, chi, P=150_000) - want) < 1e-9, chi
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_lambda_rational_vs_class_of_ideal(N):
+    """Every character mod N against sum_{n <= X} chi(class_of_ideal((n))) n^-2.
+    Past X, the residue class of its first term n0 adds 1/(N n0) up to at most
+    1/n0^2.  A conjugated class convention is 0.29 off at the order-4
+    characters mod 5."""
+    X = 10_000
+    rc = ray_class_group(Q, N)
+    classes = {n: rc.class_of_ideal(FractionalIdeal.principal(Q, Q.elt(n)))
+               for n in range(1, X + N + 1) if math.gcd(n, N) == 1}
+    first = [n for n in classes if n > X]
+    for chi in all_characters(rc.group):
+        partial = sum(chi.value(classes[n]) / n ** 2 for n in classes if n <= X)
+        tail = sum(chi.value(classes[n]) / (N * n) for n in first)
+        slack = sum(1 / n ** 2 for n in first)
+        assert abs(L_of_lambda(rc, chi) - partial - tail) <= slack + 1e-12, chi
+
+
 def test_lambda_nonzero_d5():
+    """Lambda != 0 at weight 2; at k = 3 (m = 1) N(l)^-3 is negative where N(l)
+    is, and the slab sums match the Euler product, whose truncation at P = 1e4
+    is below 1e-9 there."""
     rc = ray_class_group(K5, 3)
     for chi in all_characters(rc.group):
         lam = lambda_constant(rc, chi, 0, P=10_000)
         assert abs(lam) > 1e-6
+        want = hecke_L_partial(K5, rc, chi, 3.0)
+        assert abs(L_of_lambda(rc, chi, k=3) - want) < 1e-8, chi
 
 
 # -- the horospherical map ------------------------------------------------------
@@ -423,6 +499,20 @@ def test_map_matches_per_lambda_loop(D, N):
     fhat = pre.transform
     want = _rho_reference(fhat.values, fhat.scale, fhat.C, pre.data.eta, 0, rc, mats)
     _assert_close(horospherical_map_complex(pre, 0, rc, mats), want)
+
+
+def test_preimage_roundtrip_quadratic():
+    """Ten random kernel functions over Q(sqrt5), N = 3, mapped back at ten
+    points: the absolute residual stays below 1e-8 (the truncated Euler
+    product left up to 1.16e-6)."""
+    rc = ray_class_group(K5, 3)
+    mats = matrix_group(2, 5, 3).sl2[:10]
+    for seed in range(1, 11):
+        psi = random_kernel_psi(rc, random.Random(seed))
+        pre = preimage(psi, lam_P=150_000)
+        got = horospherical_map_complex(pre, 0, rc, mats, B=1e5)
+        worst = max(abs(v - psi.value(mat)) for mat, v in zip(mats, got))
+        assert worst < 1e-8, (seed, worst)
 
 
 def test_preimage_kernel_case_trace_zero():
