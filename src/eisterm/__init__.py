@@ -49,12 +49,10 @@ from .eisenstein import (
     LatticeSumResult,
     RationalCertificate,
     TorusData,
-    UnitFundamentalDomain,
     certify_rational,
     constant_term,
     constant_term_quadrature,
     eisenstein_value,
-    enumerate_orbit_reps,
 )
 from .horospherical import (
     IndFunction,

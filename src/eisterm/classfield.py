@@ -405,8 +405,11 @@ class RayClassGroup:
             g = ideal.principal_generator()
             if g is None:
                 raise ClassGroupError("nonprincipal ideal at narrow-class-number-one tier")
+            gres = self.ring.reduce(g)
+            if not self.ring.is_unit(gres):
+                raise ClassGroupError("ideal not coprime to N")
             # divide the idele by the global element g
-            residue = self.ring.mul(residue, self.ring.inv(self.ring.reduce(g)))
+            residue = self.ring.mul(residue, self.ring.inv(gres))
             gsigns = self._signs_of(g)
             signs = tuple(s * t for s, t in zip(signs, gsigns))
         return self.class_of_residue(residue, signs)

@@ -1,4 +1,4 @@
-"""Numeric pipeline: unit fundamental domains, Eisenstein lattice sums, the
+"""Numeric pipeline: the unit slab, Eisenstein lattice sums, the
 constant-term orbit sum, rational reconstruction, and the boundary quadrature
 cross-check.
 
@@ -12,6 +12,15 @@ lattice enumeration serves every table at the level (and every group
 translate downstream).  Rank-1 class sums are Hurwitz zeta values at working
 precision; rank-2 sums are plain float64 sums (np.add.at) over the unit slab
 enumeration, with an exact-geometry mean-tail correction.
+
+The orbit sum runs over the slab of eps_N = eps_+^r, the generator of the
+totally positive units congruent to 1 mod N.  That slab is r copies
+eps_+^j slab(eps_+), j < r, and multiplication by eps_+ keeps the norm and
+both signs and permutes O/C, so only the slab of eps_+ is enumerated and its
+residue bins are folded r times (`_slab_class_sums`, which also serves
+Lambda_N).  The row guard therefore sees the size of eps_+: Q(sqrt17) at
+N = 3 (eps_N ~ 1.9e7, eps_+ ~ 66) computes, while Q(sqrt94) (eps_+ ~ 4.3e6)
+is refused at every level.
 """
 
 from __future__ import annotations
@@ -24,7 +33,14 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .field import FieldElement, NumberField, construct_field, unit_subgroup_generator
+from .classfield import ResidueRing
+from .field import (
+    FieldElement,
+    NumberField,
+    construct_field,
+    totally_positive_unit,
+    unit_subgroup_generator,
+)
 from .schwartz import FractionalSchwartz, TwistedSchwartz, fourier_transform, is_S0
 
 
@@ -43,74 +59,7 @@ MAX_BOX_POINTS = 4_000_000
 
 
 # ---------------------------------------------------------------------------
-# unit fundamental domain (xi = 2)
-
-
-class UnitFundamentalDomain:
-    """Half-open logarithmic slab 0 <= log|s1(l)/s2(l)| < 2 log s1(eps_N).
-
-    Membership is decided exactly: with l = x + y sqrt(D),
-    |s1(l)| >= |s2(l)|  iff  x*y >= 0, and the upper bound compares
-    s1(l)^2 against s1(eps)^4 s2(l)^2 through an exact sign evaluation.
-    """
-
-    def __init__(self, field: NumberField, N: int):
-        self.field = field
-        self.N = N
-        if field.degree == 1:
-            self.eps = field.one
-        else:
-            self.eps, _ = unit_subgroup_generator(field, N)
-        self._eps4 = self.eps ** 4 if field.degree == 2 else field.one
-
-    def contains(self, l: FieldElement) -> bool:
-        if self.field.degree == 1:
-            return bool(l)
-        if not l:
-            return False
-        x, y = l.sqrtD_coords()
-        if x * y < 0:
-            return False
-        # s1(l)^2 < s1(eps)^4 s2(l)^2  <=>  sign_1(l^2 - eps^4 conj(l)^2) < 0
-        diff = l * l - self._eps4 * (l.conj() * l.conj())
-        return diff.sign_embedding(0) < 0
-
-    def reduce(self, l: FieldElement, max_iter: int = 4000) -> tuple[FieldElement, int]:
-        """The unique slab representative eps^j * l, with j."""
-        if self.field.degree == 1:
-            return l, 0
-        if not l:
-            raise EisensteinError("zero element has no representative")
-        cur, j = l, 0
-        inv = self.eps.inverse()
-        for _ in range(max_iter):
-            if self.contains(cur):
-                return cur, j
-            x, y = cur.sqrtD_coords()
-            if x * y < 0:  # ratio below window
-                cur, j = cur * self.eps, j + 1
-            else:
-                cur, j = cur * inv, j - 1
-        raise EisensteinError("slab reduction did not terminate")
-
-
-def enumerate_orbit_reps(field: NumberField, N: int, B):
-    """Orbit representatives l of (O \\ 0) / O^x(N)+ with |N(l)| <= B.
-
-    Returns a list of FieldElements, deterministically ordered.
-    """
-    if B <= 0:
-        raise EisensteinError("bound must be positive")
-    if field.degree == 1:
-        out = []
-        w = 1
-        while w <= B:
-            out.append(field.elt(w))
-            out.append(field.elt(-w))
-            w += 1
-        return out
-    chunks = _slab_coordinates(field, UnitFundamentalDomain(field, N).eps, float(B))
-    return [field.elt(a, b) for aa, bb in chunks for a, b in zip(aa.tolist(), bb.tolist())]
+# the unit slab (xi = 2)
 
 
 def _slab_filter(field: NumberField, eps: FieldElement, B: float):
@@ -172,7 +121,7 @@ def _slab_coordinates(field: NumberField, eps: FieldElement, B: float):
     bmax = int((e1 + 1) * root / delta) + 2
     if 2 * bmax + 1 > MAX_BOX_POINTS:
         raise EisensteinError(
-            f"unit slab of {2 * bmax + 1} rows (s1(eps_N) = {e1:.4g}, B = {B:g}) "
+            f"unit slab of {2 * bmax + 1} rows (s1(eps_+) = {e1:.4g}, B = {B:g}) "
             f"exceeds {MAX_BOX_POINTS}")
     b = np.arange(-bmax, bmax + 1, dtype=np.int64)
     with np.errstate(divide="ignore"):
@@ -197,17 +146,38 @@ def _slab_coordinates(field: NumberField, eps: FieldElement, B: float):
     return (chunk(r0, r1) for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()))
 
 
-def _slab_power_sums(field: NumberField, eps: FieldElement, B, k: int, bins, size: int):
-    """(Z, count): N(l)^-k over the slab points l = a + b*omega, 0 < |N(l)| <= B, summed
-    into `size` bins at bins(a, b, N(l)) chunk by chunk, so one chunk is held at a time."""
+def _slab_class_sums(field: NumberField, N: int, C: int, k: int, B, signs: bool = False):
+    """(S, count, r): N(l)^-k over the slab of eps_N = eps_+^r, 0 < |N(l)| <= B, summed into
+    S[a*C + b][0] for l = a + b*omega mod C; with signs, S[a*C + b][2i + j] splits the bin by
+    the signs ((-1)^i, (-1)^j) of s1(l), s2(l).  count is the number of slab(eps_N) points.
+
+    Only the slab of eps_+ is enumerated.  slab(eps_N) is the disjoint union of
+    eps_+^j slab(eps_+) over j < r, and multiplication by the totally positive eps_+ keeps
+    the norm and both signs and permutes O/C, so the eps_+ bins are folded r times:
+    S_N[eps_+^j lam] += S_+[lam].  Summing per chunk with np.add.at holds one chunk at a
+    time.  In the slab s1(l) has the sign of a + b, and sgn s2(l) = sgn N(l) sgn s1(l).
+    """
+    eps = totally_positive_unit(field)
+    _, r = unit_subgroup_generator(field, N)
     tr, nm = int(field.w_trace), int(field.w_norm)
-    Z = np.zeros(size, dtype=np.float64)
+    S = np.zeros((C * C, 4 if signs else 1), dtype=np.float64)
     count = 0
     for a, b in _slab_coordinates(field, eps, float(B)):
         norm = a * a + a * b * tr + b * b * nm
-        np.add.at(Z, bins(a, b, norm), norm.astype(np.float64) ** (-k))
+        bins = np.mod(a, C) * C + np.mod(b, C)
+        if signs:
+            neg1 = a + b < 0
+            bins = bins * 4 + 2 * neg1 + ((norm < 0) != neg1)
+        np.add.at(S.reshape(-1), bins, norm.astype(np.float64) ** (-k))
         count += a.size
-    return Z, count
+    ring = ResidueRing(field, C)
+    unit = ring.reduce(eps)
+    lam = np.divmod(np.arange(C * C), C)
+    folded = S.copy()
+    for _ in range(r - 1):
+        lam = ring.mul(lam, unit)
+        folded[lam[0] * C + lam[1]] += S
+    return folded, r * count, r
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +212,21 @@ def rank2_class_sums(D: int, N: int, C: int, k: int, B: int) -> tuple:
     over w in O \\ 0, w = lam mod C, |N(w)| <= B, with the exact-density mean
     tail correction (k even; odd-k tails cancel by the sign split).
 
+    The slab is that of eps_N = eps_+^r, summed as r folded copies of the
+    slab of eps_+ (`_slab_class_sums`): a field is refused only when the
+    slab of eps_+ itself is too large (Q(sqrt94), eps_+ ~ 4.3e6), and
+    Q(sqrt17) at N = 3 (eps_N ~ 1.9e7, eps_+ ~ 66) computes.
+
     Returns (Z complex ndarray flattened, count, tail_estimate).
     """
     field = construct_field(D)
-    dom = UnitFundamentalDomain(field, N)
-    Z, count = _slab_power_sums(field, dom.eps, B, k,
-                                lambda a, b, _: np.mod(a, C) * C + np.mod(b, C), C * C)
-    # exact-geometry mean tail per class: density 4 log s1(eps) / (C^2 sqrt(dF))
-    # points per unit norm; the mean tail integrates the power weight, the
-    # residual fluctuation scales like B^(1/2 - k)
-    e1 = dom.eps.embed_float()[0]
-    dens = 4.0 * math.log(e1) / (C * C * math.sqrt(field.discriminant))
+    S, count, r = _slab_class_sums(field, N, C, k, B)
+    Z = S[:, 0]
+    # exact-geometry mean tail per class: density 4 log s1(eps_N) / (C^2 sqrt(dF))
+    # points per unit norm, log s1(eps_N) = r log s1(eps_+); the mean tail
+    # integrates the power weight, the residual fluctuation scales like B^(1/2 - k)
+    e1 = totally_positive_unit(field).embed_float()[0]
+    dens = 4.0 * r * math.log(e1) / (C * C * math.sqrt(field.discriminant))
     if k % 2 == 0:
         Z = Z + dens * float(B) ** (1 - k) / (k - 1)
     tail_est = 10.0 * dens * float(B) ** (0.5 - k) + 1e-15

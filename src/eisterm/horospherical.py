@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 from sympy import factorint
 
-from .field import NumberField, construct_field, fundamental_unit, unit_subgroup_generator
+from .field import NumberField, construct_field, fundamental_unit, totally_positive_unit
 from .classfield import (
     GroupCharacter,
     HeckeCharacterData,
@@ -39,7 +39,7 @@ from .schwartz import (
     fourier_transform,
     is_S0,
 )
-from .eisenstein import PreconditionError, _slab_power_sums, rank1_class_sums, rank2_class_sums
+from .eisenstein import PreconditionError, _slab_class_sums, rank1_class_sums, rank2_class_sums
 
 
 class HorosphericalError(ValueError):
@@ -279,15 +279,15 @@ def psi_project(psi: IndFunction):
 def _slab_ideal_sums(D: int, N: int, k: int, P) -> tuple:
     """S[a*N + b][2i + j]: |N(l)|^-k over the slab(eps_N) points l = a + b*omega mod N with
     |N(l)| <= P and signs ((-1)^i, (-1)^j), plus the bin's exact-density tail, over the
-    [O^x : <eps_N>] generators of an ideal in the slab.  There s1(l) has the sign of a + b."""
+    [O^x : <eps_N>] generators of an ideal in the slab.  The slab of eps_N = eps_+^r is
+    summed as r folded copies of the slab of eps_+ (`_slab_class_sums`), whose
+    multiplication keeps both signs and permutes the residues mod N."""
     field = construct_field(D)
-    eps, r = unit_subgroup_generator(field, N)
-    S, _ = _slab_power_sums(field, eps, P, k, lambda a, b, norm: (
-        (np.mod(a, N) * N + np.mod(b, N)) * 4 + 2 * (a + b < 0) + ((norm < 0) != (a + b < 0))),
-        4 * N * N)
+    S, _, r = _slab_class_sums(field, N, N, k, P, signs=True)
+    log_eps_N = r * math.log(totally_positive_unit(field).embed_float()[0])
+    tail = log_eps_N / (N * N * math.sqrt(field.discriminant)) * float(P) ** (1 - k) / (k - 1)
     # N(l)^-k = sgn(N l)^k |N(l)|^-k, and sgn N(l) = sgn s1(l) sgn s2(l)
-    S = S.reshape(-1, 4) * [1, (-1) ** k, (-1) ** k, 1] + math.log(eps.embed_float()[0]) \
-        / (N * N * math.sqrt(field.discriminant)) * float(P) ** (1 - k) / (k - 1)
+    S = S * [1, (-1) ** k, (-1) ** k, 1] + tail
     index = 2 * r * (2 if fundamental_unit(field)[1] < 0 else 1)
     return tuple(map(tuple, (S / index).tolist()))
 

@@ -241,6 +241,26 @@ def test_coords_of_triple_with_principal_ideal_part():
     assert c2 == rc.group.add(via_triple, c1)
 
 
+def test_class_of_ideal_not_coprime_to_level():
+    """The prime above 3 of Q(sqrt5) (inert, norm 9) has no class mod 3: a
+    ClassGroupError, where ResidueRing.inv used to raise a bare ValueError."""
+    from eisterm.field import prime_ideals_up_to
+
+    K = construct_field(5)
+    rc = ray_class_group(K, 3)
+    primes = prime_ideals_up_to(K, 100)
+    above3 = [(n, ideal) for n, ideal in primes if ideal.contains(K.elt(3))]
+    assert [n for n, _ in above3] == [9]
+    with pytest.raises(ClassGroupError, match="coprime"):
+        rc.class_of_ideal(above3[0][1])
+    with pytest.raises(ClassGroupError, match="coprime"):
+        rc.coords_of_triple(above3[0][1], rc.ring.one, (1, 1))
+    classes = set(rc.group.all_coords())
+    for n, ideal in primes:
+        if (n, ideal) not in above3:
+            assert rc.class_of_ideal(ideal) in classes
+
+
 @pytest.mark.parametrize("D,N", [(None, 8), (5, 3), (2, 4)])
 def test_class_of_residue_and_representatives(D, N):
     """One representative per class, in coordinate order, and class_of_residue

@@ -240,15 +240,26 @@ def test_invalid_torus_is_an_error(flag, value, capsys):
 
 
 def test_constant_term_oversized_slab_is_refused(capsys):
-    """eps_N ~ 1.9e7 over Q(sqrt17) at N = 3 puts ~9e8 rows in the unit slab
-    at B = 1e4: an error record, before any row is allocated."""
+    """eps_+ ~ 4.3e6 over Q(sqrt94) puts ~4.4e7 rows in its unit slab at
+    B = 1e4: an error record that names eps_+, before any row is allocated."""
     import time
 
     t0 = time.perf_counter()
-    code, out = run_cli(["constant-term", "--D", "17", "--N", "3"], capsys)
+    code, out = run_cli(["constant-term", "--D", "94", "--N", "3"], capsys)
     assert time.perf_counter() - t0 < 5
     assert code == 1
-    assert "exceeds" in json.loads(out)["error"]
+    error = json.loads(out)["error"]
+    assert "exceeds" in error and "eps_+" in error
+
+
+def test_constant_term_d17_level3(capsys):
+    """eps_N ~ 1.9e7 over Q(sqrt17) at N = 3 is eps_+^4 with eps_+ ~ 66: the
+    slab of eps_+ is small, and its 4-fold gives the slab of eps_N."""
+    code, out = run_cli(["constant-term", "--D", "17", "--N", "3"], capsys)
+    assert code == 0
+    result = payload_of(out)["result"]
+    assert result["term_count"] == 162_720
+    assert abs(float(result["value_re"]) - 40 / 27) < 1e-6
 
 
 @pytest.mark.parametrize("m", ["0", "1"])

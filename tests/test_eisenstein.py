@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eisterm.field import construct_field
+from eisterm.field import construct_field, fundamental_unit, unit_subgroup_generator
 from eisterm.schwartz import FractionalSchwartz, fourier_transform, is_S0
 from eisterm import eisenstein
 from eisterm.zeta import twisted_zeta_rank1
@@ -17,14 +17,14 @@ from eisterm.eisenstein import (
     PreconditionError,
     RationalCertificate,
     TorusData,
-    UnitFundamentalDomain,
+    _slab_class_sums,
     _slab_coordinates,
     _slab_filter,
     certify_rational,
     constant_term,
     constant_term_quadrature,
     eisenstein_value,
-    enumerate_orbit_reps,
+    rank2_class_sums,
 )
 
 Q = construct_field(None)
@@ -60,6 +60,112 @@ def expected_ct_rank1(f, m):
     return Fraction(1, k) * (-1) ** k * sprime_inv_k * kappa * total
 
 
+# -- references: the slab of eps_N and its orbit representatives ---------------
+
+
+class UnitFundamentalDomain:
+    """Half-open logarithmic slab 0 <= log|s1(l)/s2(l)| < 2 log s1(eps_N).
+
+    Membership is decided exactly: with l = x + y sqrt(D),
+    |s1(l)| >= |s2(l)|  iff  x*y >= 0, and the upper bound compares
+    s1(l)^2 against s1(eps)^4 s2(l)^2 through an exact sign evaluation.
+    """
+
+    def __init__(self, field, N):
+        self.field = field
+        self.eps = field.one if field.degree == 1 else unit_subgroup_generator(field, N)[0]
+        self._eps4 = self.eps ** 4
+
+    def contains(self, l) -> bool:
+        if self.field.degree == 1:
+            return bool(l)
+        if not l:
+            return False
+        x, y = l.sqrtD_coords()
+        if x * y < 0:
+            return False
+        # s1(l)^2 < s1(eps)^4 s2(l)^2  <=>  sign_1(l^2 - eps^4 conj(l)^2) < 0
+        diff = l * l - self._eps4 * (l.conj() * l.conj())
+        return diff.sign_embedding(0) < 0
+
+    def reduce(self, l, max_iter: int = 4000):
+        """The unique slab representative eps^j * l, with j."""
+        if self.field.degree == 1:
+            return l, 0
+        if not l:
+            raise EisensteinError("zero element has no representative")
+        cur, j = l, 0
+        inv = self.eps.inverse()
+        for _ in range(max_iter):
+            if self.contains(cur):
+                return cur, j
+            x, y = cur.sqrtD_coords()
+            if x * y < 0:  # ratio below window
+                cur, j = cur * self.eps, j + 1
+            else:
+                cur, j = cur * inv, j - 1
+        raise EisensteinError("slab reduction did not terminate")
+
+
+def enumerate_orbit_reps(field, N, B):
+    """Orbit representatives l of (O \\ 0) / O^x(N)+ with |N(l)| <= B, in the
+    order of the slab(eps_N) stream (by b, then a)."""
+    if field.degree == 1:
+        return [field.elt(s * w) for w in range(1, int(B) + 1) for s in (1, -1)]
+    chunks = _slab_coordinates(field, UnitFundamentalDomain(field, N).eps, float(B))
+    return [field.elt(a, b) for aa, bb in chunks for a, b in zip(aa.tolist(), bb.tolist())]
+
+
+def rank2_class_sums_eps_N(field, N, C, k, B):
+    """rank2_class_sums from one pass over the slab of eps_N itself: N(l)^-k
+    accumulated with np.add.at into the bins l mod C, plus the mean tail."""
+    eps = UnitFundamentalDomain(field, N).eps
+    tr, nm = int(field.w_trace), int(field.w_norm)
+    Z = np.zeros(C * C)
+    count = 0
+    for a, b in _slab_coordinates(field, eps, float(B)):
+        norm = a * a + a * b * tr + b * b * nm
+        np.add.at(Z, np.mod(a, C) * C + np.mod(b, C), norm.astype(np.float64) ** (-k))
+        count += a.size
+    dens = 4.0 * math.log(eps.embed_float()[0]) / (C * C * math.sqrt(field.discriminant))
+    if k % 2 == 0:
+        Z = Z + dens * float(B) ** (1 - k) / (k - 1)
+    return Z, count
+
+
+# (D, N): r = 4, 4, 6, 3, 2, 4 and 1; N(eps) = -1 at D = 5, 2 and 13
+FOLD_LEVELS = [(5, 3), (2, 3), (3, 3), (5, 4), (2, 4), (3, 4), (13, 3)]
+
+
+@pytest.mark.parametrize("D,N", FOLD_LEVELS)
+def test_rank2_fold_matches_eps_N_slab(D, N):
+    """The r-fold of the eps_+ slab reproduces the sums over the slab of
+    eps_N = eps_+^r: the same point count and Z to 1e-12 relative, at both
+    parities of k and at C = N, 2N.  A slab of the fundamental unit (norm -1
+    at D = 5, 2, 13) would flip N(l)^-3 and halve the count."""
+    K = construct_field(D)
+    for k in (2, 3):
+        for C in (N, 2 * N):
+            Z, count, _ = rank2_class_sums(D, N, C, k, 20_000)
+            ref, ref_count = rank2_class_sums_eps_N(K, N, C, k, 20_000)
+            assert count == ref_count, (k, C)
+            assert np.abs(np.array(Z) - ref).max() <= 1e-12 * np.abs(ref).max(), (k, C)
+
+
+def test_slab_sums_enumerate_the_eps_plus_slab(monkeypatch):
+    """Only the slab of eps_+ is enumerated; the count is r times its points."""
+    seen = []
+    real = eisenstein._slab_coordinates
+    monkeypatch.setattr(eisenstein, "_slab_coordinates",
+                        lambda K, eps, B: seen.append(eps) or real(K, eps, B))
+    K = construct_field(5)
+    _, count, r = _slab_class_sums(K, 3, 3, 2, 2_000)
+    eps_plus = fundamental_unit(K)[0] ** 2
+    assert seen == [eps_plus] and r == 4
+    points = sum(a.size for a, _ in real(K, eps_plus, 2_000.0))
+    assert count == r * points
+
+
 # -- fundamental domain and orbit enumeration ---------------------------------
 
 
@@ -91,14 +197,15 @@ def test_orbit_reps_vs_brute_force(D, N, B):
     # brute force: all lattice points with |N| <= B in a large box, reduced
     e1 = eps.embed_float()[0]
     bound = int(math.sqrt(B * e1)) + 2
+    a, b = np.meshgrid(np.arange(-6 * bound, 6 * bound + 1),
+                       np.arange(-3 * bound, 3 * bound + 1), indexing="ij")
+    norm = a * a + a * b * int(K.w_trace) + b * b * int(K.w_norm)  # exact in int64
+    ok = (norm != 0) & (np.abs(norm) <= B)
     seen = set()
-    for a in range(-6 * bound, 6 * bound + 1):
-        for b in range(-3 * bound, 3 * bound + 1):
-            x = K.elt(a, b)
-            if not x or abs(x.norm()) > B:
-                continue
-            red, _ = dom.reduce(x)
-            seen.add((red.a, red.b))
+    for x in (K.elt(a, b) for a, b in zip(a[ok].tolist(), b[ok].tolist())):
+        assert x and abs(x.norm()) <= B
+        red, _ = dom.reduce(x)
+        seen.add((red.a, red.b))
     assert seen == rep_set
 
 
@@ -200,6 +307,19 @@ def test_constant_term_rank2_stability_and_rationality():
     assert isinstance(cert, RationalCertificate)
     assert cert.rational == Fraction(-4, 27)
     assert set(cert.denominator_factorization) <= {3, 5}
+
+
+def test_constant_term_d17_level3_certifies():
+    """Q(sqrt17) at N = 3, whose eps_N ~ 1.9e7 slab was once refused, certifies
+    a random table in Z[1/51] from the folded slab of eps_+ ~ 66."""
+    K17 = construct_field(17)
+    f = rand_s0(K17, 3, random.Random(1))
+    r1 = constant_term(f, 0, B=1e5, precision=64)
+    r2 = constant_term(f, 0, B=2e5, precision=64)
+    assert r1.term_count == 1_625_632
+    cert = certify_rational(r1, r2, (3, 17), 6)
+    assert isinstance(cert, RationalCertificate)
+    assert cert.rational == Fraction(-80, 27)
 
 
 def test_constant_term_rank2_linearity():

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from sympy import jacobi_symbol
 
-from eisterm.field import FractionalIdeal, construct_field, prime_ideals_up_to
+from eisterm.field import (
+    FractionalIdeal,
+    construct_field,
+    fundamental_unit,
+    prime_ideals_up_to,
+    unit_subgroup_generator,
+)
 from eisterm.classfield import (
     GroupCharacter,
     HeckeCharacterData,
@@ -17,13 +23,14 @@ from eisterm.classfield import (
     ray_class_group,
 )
 from eisterm.schwartz import FractionalSchwartz, fourier_transform, is_S0
-from eisterm.eisenstein import PreconditionError
+from eisterm.eisenstein import PreconditionError, _slab_coordinates
 from eisterm.horospherical import (
     HorosphericalError,
     MatrixGroup,
     ResourceError,
     _lift_matrix,
     _line_sums,
+    _slab_ideal_sums,
     _unfold_constant,
     horospherical_map,
     horospherical_map_complex,
@@ -272,6 +279,35 @@ def dirichlet_L2(d):
     q = abs(d)
     return float(sum(jacobi_symbol(a, q) * mpmath.zeta(2, mpmath.mpf(a) / q)
                      for a in range(1, q)) / q ** 2)
+
+
+def slab_ideal_sums_eps_N(D, N, k, P):
+    """_slab_ideal_sums from one pass over the slab of eps_N itself: N(l)^-k
+    accumulated with np.add.at into the bins (l mod N, signs of l), then made
+    |N(l)|^-k per sign column, plus the tail, over [O^x : <eps_N>]."""
+    field = construct_field(D)
+    eps, r = unit_subgroup_generator(field, N)
+    tr, nm = int(field.w_trace), int(field.w_norm)
+    S = np.zeros(4 * N * N)
+    for a, b in _slab_coordinates(field, eps, float(P)):
+        norm = a * a + a * b * tr + b * b * nm
+        bins = ((np.mod(a, N) * N + np.mod(b, N)) * 4 + 2 * (a + b < 0)
+                + ((norm < 0) != (a + b < 0)))
+        np.add.at(S, bins, norm.astype(np.float64) ** (-k))
+    S = S.reshape(-1, 4) * [1, (-1) ** k, (-1) ** k, 1] + math.log(eps.embed_float()[0]) \
+        / (N * N * math.sqrt(field.discriminant)) * float(P) ** (1 - k) / (k - 1)
+    return S / (2 * r * (2 if fundamental_unit(field)[1] < 0 else 1))
+
+
+@pytest.mark.parametrize("D,N", [(5, 3), (2, 3), (3, 3), (5, 4), (2, 4), (3, 4), (13, 3)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_lambda_fold_matches_eps_N_slab(D, N, k):
+    """The sign bins of Lambda_N from the r-fold of the eps_+ slab equal those
+    summed over the slab of eps_N to 1e-12 relative.  The fundamental unit
+    (norm -1 at D = 5, 2, 13) would swap the mixed-sign bins."""
+    S = np.array(_slab_ideal_sums(D, N, k, 20_000))
+    ref = slab_ideal_sums_eps_N(D, N, k, 20_000)
+    assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_hecke_L_rational_zeta2():
